@@ -28,7 +28,6 @@ from .instance import (
     with_budgets,
 )
 from .local_search import (
-    DeltaEvaluator,
     InvalidMoveError,
     SearchConfig,
     SearchResult,
@@ -74,7 +73,6 @@ __all__ = [
     "Block",
     "CapExceeded",
     "DEFAULT_CAP",
-    "DeltaEvaluator",
     "Error",
     "FacilityClass",
     "FormatError",

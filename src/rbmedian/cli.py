@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -67,7 +68,6 @@ def cmd_solve(args) -> int:
         rule=args.rule,
         seed=args.seed,
         max_iters=args.max_iters,
-        parallel=args.parallel,
     )
     result = run(inst, config, initial=initial)
     _emit(result.to_doc(), args.out)
@@ -240,7 +240,9 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="rbmedian",
         description="Budgeted red-blue median: local search, exact oracles, "
@@ -256,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-iters", type=int, default=10**6)
     sp.add_argument("--initial", help="start from this solution file instead of a seeded draw")
-    sp.add_argument("--parallel", action="store_true")
     sp.add_argument("--out", help="write the result JSON here instead of stdout")
     sp.set_defaults(func=cmd_solve)
 

@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import CapExceeded
 from .instance import Instance, Solution, check_feasible, evaluate
-from .local_search import DeltaEvaluator, SwapMove, neighborhood, neighborhood_size
+from .local_search import _BATCH, SwapMove, _scan, _subset_minima, _swap_groups, neighborhood_size
 
 DEFAULT_CAP = 10**8
 
 # Precomputing per-subset minima for the inner colour is worth the memory
-# only up to these bounds; past them the scan streams in batches.
+# only up to this bound; past it the scan streams in batches.
 _MATERIALIZE_ENTRIES = 20_000_000
-_BATCH = 16384
 
 
 @dataclass
@@ -60,14 +59,6 @@ class LocalOptVerdict:
                 "delta": self.witness_delta,
             }
         return doc
-
-
-def _subset_minima(dist_rows: np.ndarray, combos, k: int) -> np.ndarray:
-    """Per-subset columnwise minima of dist_rows (one row per facility)."""
-    if k == 0:
-        return None
-    idx = np.asarray(combos, dtype=np.intp)
-    return dist_rows[idx].min(axis=1)
 
 
 def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
@@ -108,7 +99,7 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
             batch = list(islice(it, _BATCH))
             if not batch:
                 break
-            totals = _subset_minima(Db, batch, inst.k_b).sum(axis=1)
+            totals = _subset_minima(Db, batch).sum(axis=1)
             i = int(np.argmin(totals))
             if best_cost is None or totals[i] < best_cost:
                 best_cost, best_idx = totals[i], batch[i]
@@ -120,7 +111,7 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
             batch = list(islice(it, _BATCH))
             if not batch:
                 break
-            totals = _subset_minima(Dr, batch, inst.k_r).sum(axis=1)
+            totals = _subset_minima(Dr, batch).sum(axis=1)
             i = int(np.argmin(totals))
             if best_cost is None or totals[i] < best_cost:
                 best_cost, best_idx = totals[i], batch[i]
@@ -138,7 +129,7 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
         bmin_all = np.empty((blue_count, n_c), dtype=dtype)
         for lo in range(0, blue_count, _BATCH):
             chunk = blue_combos_all[lo : lo + _BATCH]
-            bmin_all[lo : lo + len(chunk)] = _subset_minima(Db, chunk, inst.k_b)
+            bmin_all[lo : lo + len(chunk)] = _subset_minima(Db, chunk)
 
     best_cost = None
     best_r, best_b = None, None
@@ -159,7 +150,7 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
                 batch = list(islice(it, _BATCH))
                 if not batch:
                     break
-                bm = _subset_minima(Db, batch, inst.k_b)
+                bm = _subset_minima(Db, batch)
                 totals = np.minimum(bm, rmin[None, :]).sum(axis=1)
                 i = int(np.argmin(totals))
                 if best_cost is None or totals[i] < best_cost:
@@ -190,11 +181,8 @@ def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) 
             "raise the cap explicitly to force the scan"
         )
     assignment = evaluate(inst, sol)
-    ev = DeltaEvaluator(inst, assignment)
-    checked = 0
-    for mv in neighborhood(inst, sol, p):
-        checked += 1
-        d = ev.delta(mv)
-        if d < 0:
-            return LocalOptVerdict(False, mv, d, checked)
-    return LocalOptVerdict(True, None, None, checked)
+    found = _scan(inst, assignment, _swap_groups(inst, sol, p), lambda delta: delta < 0)
+    if found is None:
+        return LocalOptVerdict(True, None, None, size)
+    index, move, delta = found
+    return LocalOptVerdict(False, move, delta, index + 1)

@@ -232,13 +232,9 @@ def gen_euclidean(n_clients: int, n_red: int, n_blue: int, k_r: int, k_b: int,
     )
 
 
-def _encode_value(x, integral: bool):
-    return int(x) if integral else repr(float(x))
-
-
 def serialize(inst: Instance) -> bytes:
-    integral = inst.space.integral
-    matrix = [[_encode_value(x, integral) for x in row] for row in inst.space.rows]
+    rows = inst.space.rows
+    matrix = rows if inst.space.integral else [list(map(repr, row)) for row in rows]
     doc = {
         "n": inst.space.n,
         "metric": {"matrix": matrix},

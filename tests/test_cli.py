@@ -12,11 +12,13 @@ from rbmedian.cli import (
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     EXPERIMENT_CSV_SCHEMA,
+    build_parser,
     main,
     run_experiment,
 )
-from rbmedian.exact import brute_force_opt
+from rbmedian.exact import brute_force_opt, is_local_opt
 from rbmedian.instance import Solution, serialize, serialize_solution
+from rbmedian.local_search import SearchConfig, run
 
 
 def put_instance(tmp_path, inst, name="instance.json"):
@@ -84,6 +86,42 @@ class TestSolve:
         doc = stdout_json(capsys)
         assert doc["cost"] < 11
         assert doc["iterations"] >= 1
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_value_leaks_between_calls(self, tmp_path, capsys):
+        rng = random.Random(12)
+        inst = grid_instance(rng, 7, 4, 4, 2, 2)
+        path = put_instance(tmp_path, inst)
+        sol = Solution(R=set(inst.red[:2]), B=set(inst.blue[:2]))
+        spath = put_solution(tmp_path, sol, "sol.json")
+        defaults = run(inst, SearchConfig()).to_doc()
+
+        for _ in range(2):
+            out = tmp_path / "first.json"
+            argv = ["solve", path, "--p", "2", "--rule", "first", "--seed", "3",
+                    "--epsilon", "0.5", "--max-iters", "1", "--initial", spath, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == ""
+            assert json.loads(out.read_text()) == run(
+                inst, SearchConfig(p=2, rule="first", seed=3, epsilon=0.5, max_iters=1),
+                initial=sol).to_doc()
+            # every option back at its default
+            assert main(["solve", path]) == EXIT_OK
+            assert stdout_json(capsys) == defaults
+
+            assert main(["verify", path, spath, "--p", "2", "--cap", "5"]) == EXIT_CAP_REFUSED
+            code = main(["verify", path, spath])
+            assert stdout_json(capsys) == is_local_opt(inst, sol, 1).to_doc()
+            assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED)
+
+            assert main(["gengap", "--p", "1", "--ell", "2", "--verify"]) == EXIT_OK
+            assert "checks" in stdout_json(capsys)
+            assert main(["gengap", "--p", "1", "--ell", "2"]) == EXIT_OK
+            assert "metric" in stdout_json(capsys)
 
 
 class TestExact:

@@ -222,6 +222,16 @@ class TestSerialization:
         assert b'"' in raw.split(b'"matrix"')[1][:200]
         assert parse(raw) == inst
 
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: grid_instance(random.Random(17), 6, 3, 4, 1, 2),
+         "660d7d63fc94f1b2732157ccb4fe085a498ebb260c07cd307d9f3b4b43f4e445"),
+        (lambda: gen_euclidean(7, 3, 3, 1, 1, box_size=3.0, seed=5),
+         "862dffcb7fed5ca1afa464752cda82f9092616ade7de42bb78846edef37fb53f"),
+    ], ids=["integer", "float"])
+    def test_bytes_unchanged(self, make, digest):
+        # Digests of the per-entry encoder that serialize used to call.
+        assert hashlib.sha256(serialize(make())).hexdigest() == digest
+
     def test_solution_round_trip(self):
         sol = Solution(R={4, 2}, B={9})
         assert parse_solution(serialize_solution(sol)) == sol

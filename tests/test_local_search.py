@@ -183,22 +183,16 @@ class TestRun:
         res = run(inst, SearchConfig(p=1, rule="first", seed=1))
         assert is_local_opt(inst, res.solution, 1).locally_optimal
 
-    def test_deterministic_across_repeats_and_parallel(self):
+    def test_deterministic_across_repeats(self):
         rng = random.Random(8)
         for seed in range(5):
             inst = random_sized_grid(rng)
-            base = run(inst, SearchConfig(p=2, seed=seed))
-            again = run(inst, SearchConfig(p=2, seed=seed))
-            par = run(inst, SearchConfig(p=2, seed=seed, parallel=True))
-            assert base.solution == again.solution == par.solution
-            assert base.trace == again.trace == par.trace
-
-    def test_parallel_first_improvement_matches_serial(self):
-        rng = random.Random(9)
-        inst = random_sized_grid(rng)
-        a = run(inst, SearchConfig(p=1, rule="first", seed=0))
-        b = run(inst, SearchConfig(p=1, rule="first", seed=0, parallel=True))
-        assert a.solution == b.solution and a.trace == b.trace
+            for rule in ("best", "first"):
+                config = SearchConfig(p=2, rule=rule, seed=seed)
+                base = run(inst, config)
+                again = run(inst, config)
+                assert base.solution == again.solution
+                assert base.trace == again.trace
 
     def test_iteration_cap_reported(self):
         rng = random.Random(10)
