@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InputError, InternalInvariantError
-from .instance import Instance, Solution, check_feasible, evaluate
+from .instance import Instance, Solution, check_feasible, evaluate, nearest
 
 RED = "red"
 BLUE = "blue"
@@ -112,33 +114,15 @@ def build_phi(inst: Instance, s_sol: Solution, o_sol: Solution) -> PhiMap:
         raise OverlapError(
             f"solutions share facilities {sorted(overlap)}; disjointify the pair first"
         )
-    rows = inst.space.rows
-    phi = {}
-    for o in o_fac:
-        row = rows[o]
-        best = s_fac[0]
-        best_d = row[best]
-        for i in s_fac[1:]:
-            d = row[i]
-            if d < best_d:
-                best_d, best = d, i
-        phi[o] = best
-    deg = {i: 0 for i in s_fac}
-    for o in o_fac:
-        deg[phi[o]] += 1
-    cent = {}
-    for i in s_fac:
-        if deg[i] == 0:
-            continue
-        row = rows[i]
-        best, best_d = None, None
-        for o in o_fac:
-            if phi[o] != i:
-                continue
-            d = row[o]
-            if best is None or d < best_d:
-                best, best_d = o, d
-        cent[i] = best
+    o_arr = np.asarray(o_fac, dtype=np.intp)
+    anchor, d = nearest(inst.space.dist, o_arr, s_fac)
+    # cent(i) is the first preimage of i in (distance to i, index) order
+    order = np.lexsort((o_arr, d, anchor))
+    heads, first, counts = np.unique(anchor[order], return_index=True, return_counts=True)
+    phi = dict(zip(o_fac, anchor.tolist()))
+    deg = dict.fromkeys(s_fac, 0)
+    deg.update(zip(heads.tolist(), counts.tolist()))
+    cent = dict(zip(heads.tolist(), o_arr[order[first]].tolist()))
     return PhiMap(phi=phi, deg=deg, cent=cent,
                   s_facilities=tuple(s_fac), o_facilities=tuple(o_fac))
 
@@ -448,44 +432,42 @@ def check_standard_bounds(inst: Instance, s_sol: Solution, o_sol: Solution,
         tol = 0.0 if inst.space.integral else 1e-9
     a_s = evaluate(inst, s_sol)
     a_o = evaluate(inst, o_sol)
-    rows = inst.space.rows
+    # O and S are disjoint, so one table holds phi on O and cent on S.
+    lookup = np.zeros(inst.space.n, dtype=np.intp)
+    lookup[list(phi.phi)] = list(phi.phi.values())
+    lookup[list(phi.cent)] = list(phi.cent.values())
+    anchor = lookup[a_o.facility]
+    centre = lookup[anchor]
+    cols = np.asarray(inst.clients, dtype=np.intp)
+    # Object arrays compute in Python scalars: integer slack stays exact
+    # past int64, and every number reported is a plain int or float.
+    c = a_s.distance.astype(object)
+    c_star = a_o.distance.astype(object)
+    d_anchor = inst.space.dist[cols, anchor].astype(object)
+    d_centre = inst.space.dist[cols, centre].astype(object)
+    slack_anchor = (c + 2 * c_star) - d_anchor
+    slack_centre = (2 * c + 3 * c_star) - d_centre
+    allowance = tol * np.maximum(1.0, abs(c) + abs(c_star)) if tol else 0
+    low_anchor = slack_anchor < -allowance
+    low_centre = slack_centre < -allowance
     violations = []
-    max_anchor = None
-    max_centre = None
-    for j in inst.clients:
-        c = a_s.distance[j]
-        c_star = a_o.distance[j]
-        o_j = a_o.facility[j]
-        anchor = phi.phi[o_j]
-        centre = phi.cent[anchor]
-        slack_anchor = (c + 2 * c_star) - rows[j][anchor]
-        slack_centre = (2 * c + 3 * c_star) - rows[j][centre]
-        if max_anchor is None or slack_anchor > max_anchor:
-            max_anchor = slack_anchor
-        if max_centre is None or slack_centre > max_centre:
-            max_centre = slack_centre
-        allowance = tol * max(1.0, abs(c) + abs(c_star)) if tol else 0
-        if slack_anchor < -allowance:
-            violations.append(
-                Violation(
-                    f"client {j}",
-                    "anchor_bound",
-                    f"d(j, phi(o_j)) = {rows[j][anchor]} > c + 2c* = {c + 2 * c_star}",
-                )
-            )
-        if slack_centre < -allowance:
-            violations.append(
-                Violation(
-                    f"client {j}",
-                    "centre_bound",
-                    f"d(j, cent(phi(o_j))) = {rows[j][centre]} > 2c + 3c* = {2 * c + 3 * c_star}",
-                )
-            )
+    for t in np.flatnonzero(low_anchor | low_centre).tolist():
+        where = f"client {inst.clients[t]}"
+        if low_anchor[t]:
+            violations.append(Violation(
+                where, "anchor_bound",
+                f"d(j, phi(o_j)) = {d_anchor[t]} > c + 2c* = {c[t] + 2 * c_star[t]}",
+            ))
+        if low_centre[t]:
+            violations.append(Violation(
+                where, "centre_bound",
+                f"d(j, cent(phi(o_j))) = {d_centre[t]} > 2c + 3c* = {2 * c[t] + 3 * c_star[t]}",
+            ))
     return BoundsReport(
         clients_checked=len(inst.clients),
         violations=violations,
-        max_slack_anchor=max_anchor,
-        max_slack_centre=max_centre,
+        max_slack_anchor=max(slack_anchor, default=None),
+        max_slack_centre=max(slack_centre, default=None),
     )
 
 

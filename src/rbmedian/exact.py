@@ -1,11 +1,11 @@
 """Exhaustive oracles: global optimum and local-optimality certification.
 
 Both refuse instances whose enumeration exceeds a cap instead of running
-forever. The optimum scan visits red subsets in lexicographic order and,
-per red subset, blue subsets in lexicographic order, keeping the first
-minimum found, so among all optimal solutions the lexicographically least
-(R, then B, by sorted facility ids) is returned. Integer metrics are
-summed in int64, so reported costs are exact.
+forever. The optimum scan ranks red and blue subsets in lexicographic
+order and keeps the pair of least (cost, red rank, blue rank), so among
+all optimal solutions the lexicographically least (R, then B, by sorted
+facility ids) is returned. Integer metrics are summed in int64, so the
+choice is exact; the reported cost is `evaluate`'s total for it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from .instance import Instance, Solution, check_feasible, evaluate
 from .local_search import _BATCH, SwapMove, _scan, _subset_minima, _swap_groups, neighborhood_size
 
 DEFAULT_CAP = 10**8
-
-# Precomputing per-subset minima for the inner colour is worth the memory
-# only up to this bound; past it the scan streams in batches.
-_MATERIALIZE_ENTRIES = 20_000_000
 
 
 @dataclass
@@ -51,118 +47,47 @@ class LocalOptVerdict:
     def to_doc(self) -> dict:
         doc = {"locally_optimal": self.locally_optimal, "moves_checked": self.moves_checked}
         if self.witness is not None:
-            doc["witness"] = {
-                "close_red": list(self.witness.close_red),
-                "open_red": list(self.witness.open_red),
-                "close_blue": list(self.witness.close_blue),
-                "open_blue": list(self.witness.open_blue),
-                "delta": self.witness_delta,
-            }
+            doc["witness"] = {**self.witness.to_doc(), "delta": self.witness_delta}
         return doc
 
 
 def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
-    """Scan every feasible (R, B) pair; refuse if there are more than cap."""
-    n_red, n_blue = len(inst.red), len(inst.blue)
-    pairs = comb(n_red, inst.k_r) * comb(n_blue, inst.k_b)
+    """Scan every feasible (R, B) pair; refuse if there are more than cap.
+
+    Blue subsets go in chunks of `width`, each chunk's per-client minima
+    computed once; against each chunk, red subsets go in chunks of
+    _BATCH // width. A colour with budget 0 has one empty subset, whose
+    minima are the fill value, so it never wins a client.
+    """
+    n_red = comb(len(inst.red), inst.k_r)
+    n_blue = comb(len(inst.blue), inst.k_b)
+    pairs = n_red * n_blue
     if pairs > cap:
         raise CapExceeded(
             f"{pairs} candidate solutions exceed the cap of {cap}; "
             "raise the cap explicitly to force the scan"
         )
 
-    red = list(inst.red)
-    blue = list(inst.blue)
-    clients = list(inst.clients)
-    n_c = len(clients)
-    dtype = np.int64 if inst.space.integral else np.float64
+    rows = inst.space.dist[:, np.asarray(inst.clients, dtype=np.intp)]
+    fill = np.iinfo(rows.dtype).max if inst.space.integral else np.inf
+    width = min(n_blue, _BATCH)
+    step = _BATCH // width
+    blue_combos = combinations(inst.blue, inst.k_b)
+    best = None  # ((cost, red rank, blue rank), red subset, blue subset)
+    for b_lo in range(0, n_blue, width):
+        blues = list(islice(blue_combos, width))
+        b_min = _subset_minima(rows, blues, fill)
+        red_combos = combinations(inst.red, inst.k_r)
+        for r_lo in range(0, n_red, step):
+            reds = list(islice(red_combos, step))
+            totals = np.minimum(_subset_minima(rows, reds, fill)[:, None, :], b_min).sum(axis=-1)
+            i_r, i_b = divmod(int(totals.argmin()), len(blues))
+            key = (totals[i_r, i_b], r_lo + i_r, b_lo + i_b)
+            if best is None or key < best[0]:
+                best = (key, reds[i_r], blues[i_b])
 
-    if n_c == 0:
-        first_r = tuple(red[: inst.k_r])
-        first_b = tuple(blue[: inst.k_b])
-        zero = 0 if inst.space.integral else 0.0
-        return OptResult(Solution(R=frozenset(first_r), B=frozenset(first_b)), zero, pairs)
-
-    D = inst.space.dist
-    Dr = D[np.ix_(red, clients)].astype(dtype) if n_red else None
-    Db = D[np.ix_(blue, clients)].astype(dtype) if n_blue else None
-
-    def finish(cost, r_ids, b_ids):
-        cost = int(cost) if inst.space.integral else float(cost)
-        return OptResult(Solution(R=frozenset(r_ids), B=frozenset(b_ids)), cost, pairs)
-
-    # Single-colour shortcuts keep the general path free of empty-set cases.
-    if inst.k_r == 0:
-        best_cost, best_idx = None, None
-        it = combinations(range(n_blue), inst.k_b)
-        while True:
-            batch = list(islice(it, _BATCH))
-            if not batch:
-                break
-            totals = _subset_minima(Db, batch).sum(axis=1)
-            i = int(np.argmin(totals))
-            if best_cost is None or totals[i] < best_cost:
-                best_cost, best_idx = totals[i], batch[i]
-        return finish(best_cost, (), tuple(blue[i] for i in best_idx))
-    if inst.k_b == 0:
-        best_cost, best_idx = None, None
-        it = combinations(range(n_red), inst.k_r)
-        while True:
-            batch = list(islice(it, _BATCH))
-            if not batch:
-                break
-            totals = _subset_minima(Dr, batch).sum(axis=1)
-            i = int(np.argmin(totals))
-            if best_cost is None or totals[i] < best_cost:
-                best_cost, best_idx = totals[i], batch[i]
-        return finish(best_cost, tuple(red[i] for i in best_idx), ())
-
-    blue_count = comb(n_blue, inst.k_b)
-    materialize = (
-        blue_count * inst.k_b <= _MATERIALIZE_ENTRIES
-        and blue_count * n_c <= _MATERIALIZE_ENTRIES
-    )
-    blue_combos_all = None
-    bmin_all = None
-    if materialize:
-        blue_combos_all = list(combinations(range(n_blue), inst.k_b))
-        bmin_all = np.empty((blue_count, n_c), dtype=dtype)
-        for lo in range(0, blue_count, _BATCH):
-            chunk = blue_combos_all[lo : lo + _BATCH]
-            bmin_all[lo : lo + len(chunk)] = _subset_minima(Db, chunk)
-
-    best_cost = None
-    best_r, best_b = None, None
-    for r_combo in combinations(range(n_red), inst.k_r):
-        rmin = Dr[list(r_combo)].min(axis=0)
-        if materialize:
-            for lo in range(0, blue_count, _BATCH):
-                bm = bmin_all[lo : lo + _BATCH]
-                totals = np.minimum(bm, rmin[None, :]).sum(axis=1)
-                i = int(np.argmin(totals))
-                if best_cost is None or totals[i] < best_cost:
-                    best_cost = totals[i]
-                    best_r = r_combo
-                    best_b = blue_combos_all[lo + i]
-        else:
-            it = combinations(range(n_blue), inst.k_b)
-            while True:
-                batch = list(islice(it, _BATCH))
-                if not batch:
-                    break
-                bm = _subset_minima(Db, batch)
-                totals = np.minimum(bm, rmin[None, :]).sum(axis=1)
-                i = int(np.argmin(totals))
-                if best_cost is None or totals[i] < best_cost:
-                    best_cost = totals[i]
-                    best_r = r_combo
-                    best_b = batch[i]
-
-    return finish(
-        best_cost,
-        tuple(red[i] for i in best_r),
-        tuple(blue[i] for i in best_b),
-    )
+    solution = Solution(R=frozenset(best[1]), B=frozenset(best[2]))
+    return OptResult(solution, evaluate(inst, solution).total, pairs)
 
 
 def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) -> LocalOptVerdict:

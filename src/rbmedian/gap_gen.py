@@ -27,12 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .errors import InputError
-from .exact import DEFAULT_CAP, brute_force_opt, is_local_opt, neighborhood_size
+from .errors import CapExceeded, InputError
+from .exact import DEFAULT_CAP, brute_force_opt, is_local_opt
 from .instance import Instance, Solution, evaluate
 from .metric import GraphSpec, from_graph
-
-from math import comb
 
 
 class GapParamError(InputError):
@@ -225,12 +223,7 @@ class GapVerifyReport:
             "ok": self.ok,
         }
         if self.witness is not None:
-            doc["witness"] = {
-                "close_red": list(self.witness.close_red),
-                "open_red": list(self.witness.open_red),
-                "close_blue": list(self.witness.close_blue),
-                "open_blue": list(self.witness.open_blue),
-            }
+            doc["witness"] = self.witness.to_doc()
         return doc
 
 
@@ -258,21 +251,21 @@ def verify(gap: GapInstance, exhaustive_cap: int = DEFAULT_CAP) -> GapVerifyRepo
         else f"fail: evaluated {global_cost}, expected {gap.expected_global_cost}"
     )
 
-    pairs = comb(len(inst.red), inst.k_r) * comb(len(inst.blue), inst.k_b)
-    if pairs > exhaustive_cap:
-        checks["global_is_optimum"] = f"skipped: {pairs} candidate solutions exceed cap {exhaustive_cap}"
-    else:
+    try:
         opt = brute_force_opt(inst, cap=exhaustive_cap)
+    except CapExceeded as e:
+        checks["global_is_optimum"] = f"skipped: {e}"
+    else:
         checks["global_is_optimum"] = (
             "pass" if opt.cost == gap.expected_global_cost
             else f"fail: optimum {opt.cost}, expected {gap.expected_global_cost}"
         )
 
-    moves = neighborhood_size(inst, gap.params.p)
-    if moves > exhaustive_cap:
-        checks["locally_optimal"] = f"skipped: {moves} moves exceed cap {exhaustive_cap}"
-    else:
+    try:
         verdict = is_local_opt(inst, gap.local_solution, gap.params.p, cap=exhaustive_cap)
+    except CapExceeded as e:
+        checks["locally_optimal"] = f"skipped: {e}"
+    else:
         if verdict.locally_optimal:
             checks["locally_optimal"] = "pass"
         else:

@@ -73,6 +73,14 @@ class Instance:
             raise InstanceError(f"budget k_b={self.k_b} out of range for {len(self.blue)} blue facilities")
         if self.k_r + self.k_b < 1:
             raise InstanceError("at least one facility must be opened: k_r + k_b >= 1")
+        if self.space.integral:
+            # every cost sums at most one entry per client in int64
+            top = int(self.space.dist.max())
+            if top * len(self.clients) >= 2**63:
+                raise InstanceError(
+                    f"integer distances up to {top} over {len(self.clients)} clients can sum "
+                    "past int64: need max distance * clients < 2^63"
+                )
 
     @property
     def red_set(self) -> frozenset:
@@ -116,49 +124,56 @@ class Solution:
 
 @dataclass
 class Assignment:
-    """Result of evaluating a solution: per-client facility and distance."""
+    """Result of evaluating a solution.
+
+    `facility` and `distance` are numpy arrays aligned with `inst.clients`:
+    entry t is the nearest open facility of client `inst.clients[t]` and
+    its distance.
+    """
 
     solution: Solution
-    facility: dict
-    distance: dict
+    facility: np.ndarray
+    distance: np.ndarray
     total: object  # int or float
 
 
 def check_feasible(inst: Instance, sol: Solution) -> None:
-    if len(sol.R) != inst.k_r:
-        raise InfeasibleSolutionError(
-            f"|R| = {len(sol.R)} != k_r = {inst.k_r}, R = {sorted(sol.R)}"
-        )
-    if len(sol.B) != inst.k_b:
-        raise InfeasibleSolutionError(
-            f"|B| = {len(sol.B)} != k_b = {inst.k_b}, B = {sorted(sol.B)}"
-        )
-    stray = sol.R - inst.red_set
-    if stray:
-        raise InfeasibleSolutionError(f"R contains non-red locations {sorted(stray)}")
-    stray = sol.B - inst.blue_set
-    if stray:
-        raise InfeasibleSolutionError(f"B contains non-blue locations {sorted(stray)}")
+    for side, chosen, k, pool, colour in (
+        ("R", sol.R, inst.k_r, inst.red_set, "red"),
+        ("B", sol.B, inst.k_b, inst.blue_set, "blue"),
+    ):
+        if len(chosen) != k:
+            raise InfeasibleSolutionError(
+                f"|{side}| = {len(chosen)} != k_{side.lower()} = {k}, {side} = {sorted(chosen)}"
+            )
+        stray = chosen - pool
+        if stray:
+            raise InfeasibleSolutionError(f"{side} contains non-{colour} locations {sorted(stray)}")
+
+
+def nearest(dist: np.ndarray, targets, facilities):
+    """Nearest of `facilities` to each of `targets`, ties to the lowest index.
+
+    Returns (facility, distance) arrays aligned with `targets`.
+    `facilities` must be nonempty.
+    """
+    fac = np.asarray(sorted(facilities), dtype=np.intp)
+    block = dist[fac][:, np.asarray(targets, dtype=np.intp)]
+    pos = block.argmin(axis=0)  # first minimum, so the lowest index
+    return fac[pos], block.min(axis=0)
 
 
 def evaluate(inst: Instance, sol: Solution) -> Assignment:
-    """Assign each client to its nearest open facility, ties to lowest index."""
+    """Assign each client to its nearest open facility, ties to lowest index.
+
+    Distances are summed left to right, so a float total equals that of a
+    per-client loop bit for bit; numpy's pairwise `sum` and the builtin
+    `sum` of Python 3.12+ (compensated) round differently. Integer totals
+    are exact; with no clients the total is int 0.
+    """
     check_feasible(inst, sol)
-    open_fac = sol.open_sorted()
-    rows = inst.space.rows
-    facility, distance = {}, {}
-    total = 0
-    for j in inst.clients:
-        row = rows[j]
-        best_f = open_fac[0]
-        best_d = row[best_f]
-        for f in open_fac[1:]:
-            d = row[f]
-            if d < best_d:
-                best_d, best_f = d, f
-        facility[j] = best_f
-        distance[j] = best_d
-        total += best_d
+    facility, distance = nearest(inst.space.dist, inst.clients, sol.open_sorted())
+    total = distance.cumsum()[-1].item() if len(distance) else 0
     return Assignment(solution=sol, facility=facility, distance=distance, total=total)
 
 
@@ -177,16 +192,9 @@ def disjointify(inst: Instance, s_sol: Solution, o_sol: Solution):
         return inst, s_sol, o_sol
 
     n, m = inst.space.n, len(shared)
-    old = inst.space.dist
-    dist = np.empty((n + m, n + m), dtype=old.dtype)
-    dist[:n, :n] = old
-    for t, f in enumerate(shared):
-        dist[n + t, :n] = old[f, :]
-        dist[:n, n + t] = old[:, f]
-    for t, f in enumerate(shared):
-        for u, g in enumerate(shared):
-            dist[n + t, n + u] = old[f, g]
-    space = MetricSpace(n=n + m, dist=dist, integral=inst.space.integral)
+    idx = list(range(n)) + shared  # copy n + t stands where shared[t] does
+    space = MetricSpace(n=n + m, dist=inst.space.dist[np.ix_(idx, idx)],
+                        integral=inst.space.integral)
 
     copy_of = {f: n + t for t, f in enumerate(shared)}
     red = list(inst.red) + [copy_of[f] for f in shared if f in inst.red_set]

@@ -52,6 +52,11 @@ class ConfigError(InputError):
     """Search configuration out of range."""
 
 
+# SwapMove's fields, in order. Named here rather than read through
+# dataclasses.fields, which costs more than the rest of the constructor.
+_SIDES = ("close_red", "open_red", "close_blue", "open_blue")
+
+
 @dataclass(frozen=True)
 class SwapMove:
     close_red: tuple = ()
@@ -60,13 +65,14 @@ class SwapMove:
     open_blue: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "close_red", tuple(sorted(self.close_red)))
-        object.__setattr__(self, "open_red", tuple(sorted(self.open_red)))
-        object.__setattr__(self, "close_blue", tuple(sorted(self.close_blue)))
-        object.__setattr__(self, "open_blue", tuple(sorted(self.open_blue)))
+        for side in _SIDES:
+            object.__setattr__(self, side, tuple(sorted(getattr(self, side))))
 
     def is_empty(self) -> bool:
         return not (self.close_red or self.open_red or self.close_blue or self.open_blue)
+
+    def to_doc(self) -> dict:
+        return {side: list(getattr(self, side)) for side in _SIDES}
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,7 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
     """
     rows = inst.space.dist[:, np.asarray(inst.clients, dtype=np.intp)]
     fill = np.iinfo(rows.dtype).max if inst.space.integral else np.inf
-    cur = np.array([assignment.distance[j] for j in inst.clients], dtype=rows.dtype)
+    cur = assignment.distance
     r_open = sorted(assignment.solution.R)
     b_open = sorted(assignment.solution.B)
     best = None

@@ -56,7 +56,8 @@ class MetricSpace:
 
     @cached_property
     def rows(self) -> list:
-        """Distance table as nested lists of Python scalars, for hot loops."""
+        """Distance table as nested lists of Python scalars, for serialization
+        and single lookups."""
         return self.dist.tolist()
 
     def d(self, i: int, j: int):

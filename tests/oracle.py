@@ -1,17 +1,41 @@
-"""Scalar reference pricing, kept as the oracle for the block-pricing kernel.
+"""Scalar references, kept as oracles for the numpy kernels.
 
-`DeltaEvaluator` prices one move at a time in plain Python; the
-`oracle_*` helpers scan the public `neighborhood()` with it and apply the
-selection rules move by move, the way the search did before it priced
-moves in numpy blocks.
+`scalar_evaluate` assigns clients one at a time in plain Python, the
+reference for `evaluate` and its `instance.nearest`. `DeltaEvaluator`
+prices one move at a time; the `oracle_*` helpers scan the public
+`neighborhood()` with it and apply the selection rules move by move, the
+way the search did before it priced moves in numpy blocks.
 """
 
 from __future__ import annotations
 
-from rbmedian.instance import Assignment, Instance, Solution, evaluate
+from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
 from rbmedian.local_search import SwapMove, neighborhood
 
 _INF = float("inf")
+
+
+def scalar_evaluate(inst: Instance, sol: Solution):
+    """(facility, distance, total) as Python lists and scalars, aligned
+    with inst.clients: nearest open facility, ties to the lowest index,
+    summed left to right from int 0."""
+    check_feasible(inst, sol)
+    open_fac = sol.open_sorted()
+    rows = inst.space.rows
+    facility, distance = [], []
+    total = 0
+    for j in inst.clients:
+        row = rows[j]
+        best_f = open_fac[0]
+        best_d = row[best_f]
+        for f in open_fac[1:]:
+            d = row[f]
+            if d < best_d:
+                best_d, best_f = d, f
+        facility.append(best_f)
+        distance.append(best_d)
+        total += best_d
+    return facility, distance, total
 
 
 class DeltaEvaluator:
@@ -26,8 +50,8 @@ class DeltaEvaluator:
     def __init__(self, inst: Instance, assignment: Assignment):
         rows = inst.space.rows
         self.client_rows = [rows[j] for j in inst.clients]
-        self.current = [assignment.distance[j] for j in inst.clients]
-        self.serving = [assignment.facility[j] for j in inst.clients]
+        self.current = assignment.distance.tolist()
+        self.serving = assignment.facility.tolist()
         self.open_sorted = assignment.solution.open_sorted()
 
     def delta(self, move: SwapMove):

@@ -141,6 +141,17 @@ class TestExact:
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["exact", "/nonexistent/instance.json"]) == EXIT_INPUT_ERROR
 
+    def test_int64_overflow_is_an_input_error(self, tmp_path, capsys):
+        # 4 clients at 2^61 each would sum to 2^63, one past int64
+        big = 2**61
+        matrix = [[0 if i == j else big for j in range(6)] for i in range(6)]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 6, "metric": {"matrix": matrix},
+                                    "clients": [0, 1, 2, 3], "red": [4], "blue": [5],
+                                    "k_r": 1, "k_b": 1}))
+        assert main(["exact", str(path)]) == EXIT_INPUT_ERROR
+        assert "2^63" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_optimal_solution_passes(self, tmp_path, capsys):
@@ -240,6 +251,18 @@ class TestExperiment:
         for r in rows:
             assert r["error"] == ""
             assert float(r["local_cost"]) >= float(r["opt_cost"])
+
+    def test_no_ratio_below_one(self):
+        # local and optimal costs of one solution come from the same sum
+        spec = {
+            "generate": {"count": 120, "seed": 0, "n_clients": 14, "n_red": 7,
+                         "n_blue": 7, "k_r": 2, "k_b": 2, "box_size": 10.0},
+            "p_values": [1, 2],
+            "seeds": [0, 1],
+        }
+        rows = run_experiment(spec, io.StringIO())
+        assert len(rows) == 480
+        assert all(r["error"] == "" and float(r["ratio"]) >= 1 for r in rows)
 
     def test_result_columns_are_deterministic(self, tmp_path):
         spec_body = {

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
@@ -25,7 +26,8 @@ from rbmedian.decomposition import (
     make_groups,
 )
 from rbmedian.errors import InternalInvariantError
-from rbmedian.instance import Solution, disjointify
+from rbmedian.instance import Instance, Solution, disjointify
+from rbmedian.metric import MetricSpace
 
 
 def disjoint_pair(rng, inst):
@@ -97,6 +99,13 @@ class TestBuildPhi:
             for of in sorted(o.facilities()):
                 best = min(s_fac, key=lambda i: (inst.space.d(of, i), i))
                 assert phi.phi[of] == best
+            for i in s_fac:
+                pre = [of for of in sorted(o.facilities()) if phi.phi[of] == i]
+                assert phi.deg[i] == len(pre)
+                if pre:
+                    assert phi.cent[i] == min(pre, key=lambda of: (inst.space.d(i, of), of))
+                else:
+                    assert i not in phi.cent
 
 
 class TestClassify:
@@ -335,6 +344,42 @@ class TestStandardBounds:
         assert rep.clients_checked == 1
         assert rep.max_slack_anchor == 0
         assert rep.max_slack_centre == 0
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_violations_name_client_and_bound(self, dtype):
+        # not a metric: client 0 sits far from its anchor 3, client 5 far
+        # from its centre 2
+        table = [[0, 1, 1, 100, 50, 9],
+                 [1, 0, 10, 10, 10, 1],
+                 [1, 10, 0, 1, 1, 7],
+                 [100, 10, 1, 0, 1, 2],
+                 [50, 10, 1, 1, 0, 1],
+                 [9, 1, 7, 2, 1, 0]]
+        integral = dtype is np.int64
+        inst = Instance(MetricSpace(6, np.array(table, dtype=dtype), integral),
+                        clients=(0, 5), red=(1, 2), blue=(3, 4), k_r=1, k_b=1)
+        s, o = Solution(R={1}, B={3}), Solution(R={2}, B={4})
+        doc = check_standard_bounds(inst, s, o, build_phi(inst, s, o)).to_doc()
+        num = str if integral else (lambda x: str(float(x)))
+        assert doc["violations"] == [
+            {"where": "client 0", "check": "anchor_bound",
+             "detail": f"d(j, phi(o_j)) = {num(100)} > c + 2c* = {num(3)}"},
+            {"where": "client 5", "check": "centre_bound",
+             "detail": f"d(j, cent(phi(o_j))) = {num(7)} > 2c + 3c* = {num(5)}"},
+        ]
+        assert doc["max_slack_anchor"] == 1 and doc["max_slack_centre"] == 4
+        assert type(doc["max_slack_anchor"]) is (int if integral else float)
+
+    def test_integer_slack_is_exact_past_int64(self):
+        big = 2**62
+        dist = np.array([[0, big, big], [big, 0, 0], [big, 0, 0]], dtype=np.int64)
+        inst = Instance(MetricSpace(3, dist, True), clients=(0,), red=(1, 2), blue=(),
+                        k_r=1, k_b=0)
+        s, o = Solution(R={1}, B=set()), Solution(R={2}, B=set())
+        rep = check_standard_bounds(inst, s, o, build_phi(inst, s, o))
+        assert rep.ok
+        assert rep.max_slack_anchor == 2 * big  # c + 2c* - c
+        assert rep.max_slack_centre == 4 * big  # 2c + 3c* - c*
 
     def test_holds_on_random_pairs(self):
         rng = random.Random(0xACE)

@@ -5,10 +5,11 @@ from itertools import combinations
 
 import pytest
 
+import rbmedian.exact as exact
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
 from rbmedian.errors import CapExceeded
 from rbmedian.exact import brute_force_opt, is_local_opt
-from rbmedian.instance import Solution, evaluate, with_budgets
+from rbmedian.instance import Solution, evaluate, gen_euclidean, with_budgets
 from rbmedian.local_search import SwapMove, delta_cost
 
 
@@ -84,6 +85,35 @@ class TestBruteForce:
             cost, R, B = naive_opt(inst)
             res = brute_force_opt(inst)
             assert res.cost == pytest.approx(cost, rel=1e-12)
+            assert res.solution == Solution(R=set(R), B=set(B))
+
+    def test_float_cost_is_evaluate_total(self):
+        for seed in range(30):
+            inst = gen_euclidean(14, 7, 7, 2, 2, box_size=10.0, seed=seed)
+            res = brute_force_opt(inst)
+            assert res.cost == evaluate(inst, res.solution).total
+
+    @pytest.mark.parametrize("batch", [1, 3, 7])
+    def test_small_batches_agree_with_naive(self, batch, monkeypatch):
+        # chunks end inside and across subset lists, so ties span chunks
+        monkeypatch.setattr(exact, "_BATCH", batch)
+        rng = random.Random(0xBA7C + batch)
+        cases = [random_sized_grid(rng, max_clients=6, max_per_colour=5) for _ in range(40)]
+        cases += [
+            line_instance([0, 4, 9], [], [1, 7, 3, 5], k_r=0, k_b=2),
+            line_instance([0, 4, 9], [1, 7, 3, 5], [2], k_r=2, k_b=0),
+            line_instance([0, 4, 9], [1, 7, 3], [2, 6, 8], k_r=0, k_b=2),
+            line_instance([], [1, 2, 3], [4, 5, 6], k_r=2, k_b=1),
+            line_instance([0, 5], [2, 2, 2], [2, 2, 2], k_r=2, k_b=2),
+            line_instance([3], [3, 3, 3, 3], [3, 3], k_r=2, k_b=1),
+            # optimal at (red 2, blue 5) and (red 3, blue 4): the first comes
+            # first lexicographically, the second in a blue-major scan
+            line_instance([0, 10], [0, 10], [0, 10], k_r=1, k_b=1),
+        ]
+        for inst in cases:
+            cost, R, B = naive_opt(inst)
+            res = brute_force_opt(inst)
+            assert res.cost == cost
             assert res.solution == Solution(R=set(R), B=set(B))
 
 

@@ -159,6 +159,9 @@ class TestVerify:
 
     def test_tiny_cap_skips_both_searches(self):
         report = verify(build(GapParams(p=1, ell=2)), exhaustive_cap=10)
-        assert report.checks["global_is_optimum"].startswith("skipped")
-        assert report.checks["locally_optimal"].startswith("skipped")
+        # the reason is the refusal's own message, with the count that tripped it
+        assert report.checks["global_is_optimum"].startswith(
+            "skipped: 120 candidate solutions exceed the cap of 10")
+        assert report.checks["locally_optimal"].startswith(
+            "skipped: 49 neighborhood moves exceed the cap of 10")
         assert report.ok  # skipped is not failed, and the report says so

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
+from oracle import scalar_evaluate
 from rbmedian.instance import (
     FormatError,
     InfeasibleSolutionError,
@@ -29,6 +30,41 @@ from rbmedian.metric import MetricSpace
 GOLDEN_SHA256 = "bfb2b717dc1cd86a85a9876033637839e154484b0c7af6307fe8230ae06c094a"
 
 
+@st.composite
+def tiny_instances(draw):
+    n_clients = draw(st.integers(1, 5))
+    n_red = draw(st.integers(1, 4))
+    n_blue = draw(st.integers(1, 4))
+    k_r = draw(st.integers(0, n_red))
+    k_b = draw(st.integers(0 if k_r else 1, n_blue))
+    seed = draw(st.integers(0, 10**6))
+    return grid_instance(random.Random(seed), n_clients, n_red, n_blue, k_r, k_b)
+
+
+def shuffled_roles(rng, inst):
+    """The same instance with its locations renumbered at random, so client
+    ids no longer coincide with their positions in inst.clients."""
+    perm = list(range(inst.space.n))
+    rng.shuffle(perm)  # old id i becomes perm[i]
+    inv = np.argsort(perm)
+    dist = inst.space.dist[np.ix_(inv, inv)]
+    return Instance(MetricSpace(inst.space.n, dist, inst.space.integral),
+                    clients=tuple(perm[j] for j in inst.clients),
+                    red=tuple(perm[f] for f in inst.red),
+                    blue=tuple(perm[f] for f in inst.blue), k_r=inst.k_r, k_b=inst.k_b)
+
+
+def check_against_scalar(inst, sol):
+    """evaluate equals the scalar loop: the same facility and distance per
+    client position, an exactly equal integer total, a bit-identical float one."""
+    a = evaluate(inst, sol)
+    facility, distance, total = scalar_evaluate(inst, sol)
+    assert a.facility.tolist() == facility
+    assert a.distance.tolist() == distance
+    assert type(a.total) is type(total)
+    assert a.total == total
+
+
 class TestInstanceValidation:
     def test_overlapping_roles_rejected(self):
         space = MetricSpace(2, np.zeros((2, 2), dtype=np.int64), True)
@@ -39,6 +75,17 @@ class TestInstanceValidation:
         space = MetricSpace(3, np.zeros((3, 3), dtype=np.int64), True)
         with pytest.raises(InstanceError):
             Instance(space, clients=(0,), red=(2,), blue=(), k_r=1, k_b=0)
+
+    def test_integer_overflow_rejected(self):
+        # every cost would sum 4 entries of 2^61: exactly 2^63
+        n = 6
+        dist = np.full((n, n), 2**61, dtype=np.int64)
+        np.fill_diagonal(dist, 0)
+        space = MetricSpace(n, dist, True)
+        with pytest.raises(InstanceError, match=r"2\^63"):
+            Instance(space, clients=(0, 1, 2, 3), red=(4,), blue=(5,), k_r=1, k_b=1)
+        # one client fewer stays below the bound
+        Instance(space, clients=(0, 1, 2), red=(3, 4), blue=(5,), k_r=1, k_b=1)
 
     def test_budget_over_pool_rejected(self):
         space = MetricSpace(2, np.zeros((2, 2), dtype=np.int64), True)
@@ -85,12 +132,39 @@ class TestEvaluate:
             a = evaluate(inst, sol)
             open_fac = sorted(sol.R | sol.B)
             total = 0
-            for j in inst.clients:
+            for t, j in enumerate(inst.clients):
                 best = min(inst.space.d(j, f) for f in open_fac)
-                assert a.distance[j] == best
-                assert inst.space.d(j, a.facility[j]) == best
+                assert a.distance[t] == best
+                assert inst.space.d(j, a.facility[t]) == best
                 total += best
             assert a.total == total
+
+    def test_zero_clients_cost_int_zero(self):
+        for inst in (line_instance([], [1, 2], [3], k_r=1, k_b=1),
+                     gen_euclidean(0, 2, 2, 1, 1, seed=2)):
+            a = evaluate(inst, Solution(R={inst.red[0]}, B={inst.blue[0]}))
+            assert type(a.total) is int and a.total == 0
+            assert a.facility.shape == a.distance.shape == (0,)
+
+    def test_seeded_corpora_match_scalar_oracle(self):
+        rng = random.Random(0xE7A1)
+        for _ in range(60):
+            inst = shuffled_roles(rng, random_sized_grid(rng))
+            check_against_scalar(inst, random_feasible(rng, inst))
+        for seed in range(40):
+            inst = shuffled_roles(rng, gen_euclidean(rng.randint(1, 30), rng.randint(1, 6),
+                                                     rng.randint(1, 6), 1, 1, seed=seed))
+            check_against_scalar(inst, random_feasible(rng, inst))
+
+    @given(tiny_instances(), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_corpus_matches_scalar_oracle(self, inst, seed, floats):
+        rng = random.Random(seed)
+        if floats:
+            inst = gen_euclidean(len(inst.clients), len(inst.red), len(inst.blue),
+                                 inst.k_r, inst.k_b, box_size=50.0, seed=seed)
+        inst = shuffled_roles(rng, inst)
+        check_against_scalar(inst, random_feasible(rng, inst))
 
     def test_monotone_in_open_set(self):
         rng = random.Random(77)
@@ -239,17 +313,6 @@ class TestSerialization:
     def test_solution_bad_document(self):
         with pytest.raises(FormatError):
             parse_solution(b'{"R": [1]}')
-
-
-@st.composite
-def tiny_instances(draw):
-    n_clients = draw(st.integers(1, 5))
-    n_red = draw(st.integers(1, 4))
-    n_blue = draw(st.integers(1, 4))
-    k_r = draw(st.integers(0, n_red))
-    k_b = draw(st.integers(0 if k_r else 1, n_blue))
-    seed = draw(st.integers(0, 10**6))
-    return grid_instance(random.Random(seed), n_clients, n_red, n_blue, k_r, k_b)
 
 
 class TestRoundTripProperty:
