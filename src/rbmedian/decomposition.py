@@ -15,7 +15,7 @@ ascending by index, so the whole pipeline is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -307,10 +307,7 @@ class BlockCheckReport:
         return {
             "blocks_checked": self.blocks_checked,
             "ok": self.ok,
-            "violations": [
-                {"where": v.where, "check": v.check, "detail": v.detail}
-                for v in self.violations
-            ],
+            "violations": [asdict(v) for v in self.violations],
         }
 
 
@@ -411,10 +408,7 @@ class BoundsReport:
             "ok": self.ok,
             "max_slack_anchor": self.max_slack_anchor,
             "max_slack_centre": self.max_slack_centre,
-            "violations": [
-                {"where": v.where, "check": v.check, "detail": v.detail}
-                for v in self.violations
-            ],
+            "violations": [asdict(v) for v in self.violations],
         }
 
 

@@ -17,6 +17,10 @@ class InputError(Error):
     """Invalid user-supplied data: files, tables, solutions, parameters."""
 
 
+class FormatError(InputError):
+    """Malformed document or distance entry."""
+
+
 class CapExceeded(Error):
     """An exhaustive enumeration was refused because it exceeds the cap."""
 

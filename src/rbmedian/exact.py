@@ -31,7 +31,7 @@ class OptResult:
 
     def to_doc(self) -> dict:
         return {
-            "solution": {"R": sorted(self.solution.R), "B": sorted(self.solution.B)},
+            "solution": self.solution.to_doc(),
             "cost": self.cost,
             "examined": self.examined,
         }

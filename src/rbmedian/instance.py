@@ -26,16 +26,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FormatError, InputError
 from .metric import GraphSpec, MetricSpace, from_graph, from_matrix
 
 
 class InstanceError(InputError):
     """Instance-level validation failure (partition, budgets, ranges)."""
-
-
-class FormatError(InputError):
-    """Malformed instance or solution document."""
 
 
 class InfeasibleSolutionError(InputError):
@@ -120,6 +116,9 @@ class Solution:
 
     def facilities(self) -> frozenset:
         return self.R | self.B
+
+    def to_doc(self) -> dict:
+        return {"R": sorted(self.R), "B": sorted(self.B)}
 
 
 @dataclass
@@ -255,21 +254,6 @@ def serialize(inst: Instance) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
-def _decode_value(x):
-    if isinstance(x, bool):
-        raise FormatError(f"distance entries must be numbers or decimal strings, got {x!r}")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, float):
-        return x
-    if isinstance(x, str):
-        try:
-            return float(x)
-        except ValueError:
-            raise FormatError(f"bad decimal string {x!r} in distance data") from None
-    raise FormatError(f"distance entries must be numbers or decimal strings, got {x!r}")
-
-
 def _require(doc: dict, key: str):
     if key not in doc:
         raise FormatError(f"missing required key {key!r}")
@@ -283,18 +267,20 @@ def _int_list(doc: dict, key: str) -> list:
     return val
 
 
+def _load_object(data, what: str) -> dict:
+    try:
+        doc = json.loads(data)  # bytes or str
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise FormatError(f"malformed {what}: {e}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return doc
+
+
 def parse(data) -> Instance:
     """Parse an instance document (bytes or str). Raises FormatError or
     InstanceError; both are input errors as far as callers are concerned."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError(f"malformed document: {e}") from None
-    if not isinstance(doc, dict):
-        raise FormatError("instance document must be a JSON object")
-
+    doc = _load_object(data, "instance document")
     n = _require(doc, "n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise FormatError(f"'n' must be a nonnegative integer, got {n!r}")
@@ -308,24 +294,17 @@ def parse(data) -> Instance:
             not isinstance(r, list) or len(r) != n for r in matrix
         ):
             raise FormatError(f"metric matrix must be {n}x{n}")
-        values = [[_decode_value(x) for x in row] for row in matrix]
-        integral = all(isinstance(x, int) for row in values for x in row)
-        if not integral:
-            values = [[float(x) for x in row] for row in values]
-        space = from_matrix(values)
+        space = from_matrix(matrix)
     elif "graph" in metric_doc:
         graph = metric_doc["graph"]
         if not isinstance(graph, dict) or not isinstance(graph.get("edges"), list):
             raise FormatError("'graph' must be an object with an 'edges' list")
-        edges = []
         for e in graph["edges"]:
             if not isinstance(e, list) or len(e) != 3:
                 raise FormatError(f"graph edge must be [u, v, length], got {e!r}")
-            u, v, w = e
-            if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
+            if type(e[0]) is not int or type(e[1]) is not int:
                 raise FormatError(f"graph edge endpoints must be integers in {e!r}")
-            edges.append((u, v, _decode_value(w)))
-        space = from_graph(GraphSpec(n=n, edges=tuple(edges)))
+        space = from_graph(GraphSpec(n=n, edges=tuple(map(tuple, graph["edges"]))))
     else:
         raise FormatError("'metric' must contain either 'matrix' or 'graph'")
 
@@ -347,17 +326,9 @@ def parse(data) -> Instance:
 
 
 def serialize_solution(sol: Solution) -> bytes:
-    doc = {"R": sorted(sol.R), "B": sorted(sol.B)}
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return json.dumps(sol.to_doc(), separators=(",", ":")).encode("utf-8")
 
 
 def parse_solution(data) -> Solution:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError(f"malformed solution document: {e}") from None
-    if not isinstance(doc, dict):
-        raise FormatError("solution document must be a JSON object")
+    doc = _load_object(data, "solution document")
     return Solution(R=frozenset(_int_list(doc, "R")), B=frozenset(_int_list(doc, "B")))

@@ -104,7 +104,7 @@ class SearchResult:
 
     def to_doc(self) -> dict:
         return {
-            "solution": {"R": sorted(self.solution.R), "B": sorted(self.solution.B)},
+            "solution": self.solution.to_doc(),
             "cost": self.assignment.total,
             "iterations": self.iterations,
             "trace": list(self.trace),

@@ -1,30 +1,41 @@
 """Finite (pseudo)metric spaces over locations 0..n-1.
 
-Distances live in a dense matrix: exact 64-bit integers whenever every
-input value is integral, floats otherwise. Zero distance between distinct
-locations is deliberately allowed; several constructions in this package
-co-locate a client with a facility.
+Distances live in a dense matrix: exact 64-bit integers below 2^62
+whenever every input value is an integer, floats otherwise, and finite
+either way. Zero distance between distinct locations is deliberately
+allowed; several constructions in this package co-locate a client with a
+facility.
 
 Spaces come from one of two builders: `from_matrix` validates an explicit
 table, `from_graph` closes a weighted graph under shortest paths and fills
 cross-component pairs with a sentinel larger than any connected distance.
+Both decode their entries with `_decode` and relax with `_relax`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence, Union
+from functools import cached_property, reduce
+from itertools import chain
+from operator import add
+from typing import Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FormatError, InputError
 
 # Relative slack for triangle checks on float tables.
 FLOAT_TOL = 1e-9
 
 # Full triangle validation is O(n^3); above this size it only runs on request.
 TRIANGLE_CHECK_LIMIT = 512
+
+# Integer entries stay below this, so any two of them add without leaving int64.
+INT_LIMIT = 2**62
+
+# Entry types a distance table may hold: the JSON numbers and decimal strings.
+_ENTRY_TYPES = {int, float, str}
 
 
 class MetricError(InputError):
@@ -79,44 +90,64 @@ class GraphSpec:
     sentinel_policy: Union[str, int, float] = "auto"
 
 
-def _is_integral_value(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def _decode(rows) -> np.ndarray:
+    """Nested rows of ints, floats or decimal strings (the JSON forms) as
+    one array: int64 if every entry is an int, else float64, strings read as
+    `float` reads them. Other entries, or ones that do not fit, are a FormatError."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if not kinds <= _ENTRY_TYPES:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) not in _ENTRY_TYPES)
+        raise FormatError(f"distance entries must be numbers or decimal strings, got {bad!r}")
+    dtype = np.int64 if kinds <= {int} else np.float64
+    try:
+        return np.array(rows, dtype=dtype)
+    except OverflowError:
+        big = max((x for x in chain.from_iterable(rows) if type(x) is int), key=abs)
+        raise FormatError(f"integer distance {big} does not fit {dtype.__name__}") from None
+    except ValueError as e:
+        raise FormatError(f"bad distance data: {e}") from None
+
+
+def _relax(d: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = min(out[i, j], d[i, k] + d[k, j]) for k = 0, 1, ... in turn:
+    Floyd-Warshall when out is d, the min-plus square when out is a copy of d."""
+    for k in range(len(d)):
+        np.minimum(out, d[:, k, None] + d[None, k, :], out=out)
 
 
 def from_matrix(table, tau: float | None = None, check_triangle: bool | None = None) -> MetricSpace:
     """Validate a square distance table and wrap it as a MetricSpace.
 
-    tau is the relative triangle slack; defaults to 0 for integer tables
-    and 1e-9 for float ones. check_triangle=None means "only when
+    table is nested rows of ints, floats or decimal strings, or a numpy
+    array. tau is the relative triangle slack; defaults to 0 for integer
+    tables and 1e-9 for float ones. check_triangle=None means "only when
     n <= TRIANGLE_CHECK_LIMIT"; pass True/False to force either way.
     Raises MetricError with witnessing indices on the first failure found.
     """
-    arr = np.asarray(table)
+    arr = _decode(table.tolist() if isinstance(table, np.ndarray) else table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MetricError(f"distance table must be square, got shape {arr.shape}")
-    if arr.size and not np.issubdtype(arr.dtype, np.number):
-        raise MetricError(f"distance table must be numeric, got dtype {arr.dtype}")
-    integral = np.issubdtype(arr.dtype, np.integer)
-    arr = arr.astype(np.int64 if integral else np.float64)
+    integral = arr.dtype == np.int64
     n = arr.shape[0]
     if tau is None:
         tau = 0.0 if integral else FLOAT_TOL
 
-    if n:
-        neg = np.argwhere(arr < 0)
-        if len(neg):
-            i, j = map(int, neg[0])
-            raise MetricError(f"negative distance {arr[i, j]} at ({i}, {j})", witness=(i, j))
-        diag = np.argwhere(np.diagonal(arr) != 0)
-        if len(diag):
-            i = int(diag[0][0])
-            raise MetricError(f"nonzero diagonal {arr[i, i]} at ({i}, {i})", witness=(i, i))
-        asym = np.argwhere(arr != arr.T)
-        if len(asym):
-            i, j = map(int, asym[0])
-            raise MetricError(
-                f"asymmetry at ({i}, {j}): {arr[i, j]} != {arr[j, i]}", witness=(i, j)
-            )
+    for bad, what in (
+        (~np.isfinite(arr), "non-finite distance"),
+        (arr < 0, "negative distance"),
+        (np.eye(n, dtype=bool) & (arr != 0), "nonzero diagonal"),
+    ):
+        hit = np.argwhere(bad)
+        if len(hit):
+            i, j = map(int, hit[0])
+            raise MetricError(f"{what} {arr[i, j]} at ({i}, {j})", witness=(i, j))
+    asym = np.argwhere(arr != arr.T)
+    if len(asym):
+        i, j = map(int, asym[0])
+        raise MetricError(f"asymmetry at ({i}, {j}): {arr[i, j]} != {arr[j, i]}", witness=(i, j))
+    if integral and arr.max() >= INT_LIMIT:
+        raise MetricError(
+            f"integer distance {arr.max()} is not below 2^62: two could overflow int64")
 
     if check_triangle is None:
         check_triangle = n <= TRIANGLE_CHECK_LIMIT
@@ -127,21 +158,21 @@ def from_matrix(table, tau: float | None = None, check_triangle: bool | None = N
 
 
 def _check_triangle(arr: np.ndarray, tau: float) -> None:
-    n = arr.shape[0]
-    for k in range(n):
-        via = arr[:, k, None] + arr[None, k, :]
-        if tau:
-            allowed = via + tau * np.maximum(1.0, via)
-        else:
-            allowed = via
-        bad = np.argwhere(arr > allowed)
-        if len(bad):
-            i, j = map(int, bad[0])
-            raise MetricError(
-                f"triangle violation at ({i}, {j}): {arr[i, j]} > "
-                f"{arr[i, k]} + {arr[k, j]} via {k}",
-                witness=(i, k, j),
-            )
+    """Reject the first (i, j) in row-major order with d(i, j) above
+    M[i, j] = min_k d(i, k) + d(k, j) plus slack tau * max(1, M); the slack
+    grows with M, so this decides as checking every k would."""
+    via = arr.copy()
+    _relax(arr, via)
+    allowed = via + tau * np.maximum(1.0, via) if tau else via
+    bad = np.argwhere(arr > allowed)
+    if len(bad):
+        i, j = map(int, bad[0])
+        k = int(np.argmin(arr[i, :] + arr[:, j]))  # the lowest k attaining M[i, j]
+        raise MetricError(
+            f"triangle violation at ({i}, {j}): {arr[i, j]} > "
+            f"{arr[i, k]} + {arr[k, j]} via {k}",
+            witness=(i, k, j),
+        )
 
 
 def from_graph(spec: GraphSpec) -> MetricSpace:
@@ -149,45 +180,40 @@ def from_graph(spec: GraphSpec) -> MetricSpace:
 
     Output satisfies the full metric contract by construction; vertices in
     different components sit at exactly the sentinel distance, which exceeds
-    every connected shortest path under the "auto" policy.
+    every connected shortest path under the "auto" policy. Lengths are
+    decoded as `from_matrix` entries are.
     """
     n = spec.n
     if n < 0:
         raise MetricError(f"vertex count must be nonnegative, got {n}")
-    integral = True
-    total = 0
     for e in spec.edges:
         if len(e) != 3:
             raise MetricError(f"edge must be (u, v, length), got {e!r}")
-        u, v, w = e
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= e[0] < n and 0 <= e[1] < n):
             raise MetricError(f"edge endpoint out of range in {e!r}")
-        if w < 0:
-            raise MetricError(f"negative edge length in {e!r}")
-        if not _is_integral_value(w):
-            integral = False
-        total += w
+    policy = spec.sentinel_policy
+    auto = policy == "auto"
+    if not auto and type(policy) not in (int, float):
+        raise MetricError(f"sentinel_policy must be 'auto' or a number, got {policy!r}")
 
-    if spec.sentinel_policy == "auto":
-        sentinel = 1 + total
-    else:
-        sentinel = spec.sentinel_policy
-        if not isinstance(sentinel, (int, float)) or isinstance(sentinel, bool):
-            raise MetricError(f"sentinel_policy must be 'auto' or a number, got {sentinel!r}")
-        if not _is_integral_value(sentinel):
-            integral = False
+    # An explicit sentinel is decoded with the lengths: a float one makes the table float.
+    weights = _decode([[e[2] for e in spec.edges] + [0 if auto else policy]])[0]
+    lengths = weights[:-1]
+    for bad, what in ((~np.isfinite(lengths), "non-finite"), (lengths < 0, "negative")):
+        if bad.any():
+            raise MetricError(f"{what} edge length in {spec.edges[int(bad.argmax())]!r}")
+    integral = weights.dtype == np.int64
+    # summed left to right, exactly for integers
+    sentinel = 1 + reduce(add, lengths.tolist(), 0) if auto else weights[-1].item()
+    if not 0 <= sentinel < (INT_LIMIT if integral else math.inf):
+        raise MetricError(f"sentinel distance {sentinel} must be nonnegative and below "
+                          + ("2^62 in an integer table" if integral else "infinity"))
 
-    dtype = np.int64 if integral else np.float64
-    dist = np.full((n, n), sentinel, dtype=dtype)
+    dist = np.full((n, n), sentinel, dtype=weights.dtype)
+    u, v = np.array([e[:2] for e in spec.edges], dtype=np.intp).reshape(-1, 2).T
+    np.minimum.at(dist, (u, v), lengths)
+    np.minimum.at(dist, (v, u), lengths)
     np.fill_diagonal(dist, 0)
-    for u, v, w in spec.edges:
-        if u == v:
-            continue
-        if w < dist[u, v]:
-            dist[u, v] = dist[v, u] = w
-    # Floyd-Warshall; sentinel entries only ever relax to true path lengths,
-    # sums stay below 2 * sentinel so int64 cannot overflow at sane scales.
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-
+    # Every entry is at most the sentinel, below 2^62 for integers, so no sum leaves int64.
+    _relax(dist, dist)
     return MetricSpace(n=n, dist=dist, integral=integral)

@@ -5,9 +5,14 @@ reference for `evaluate` and its `instance.nearest`. `DeltaEvaluator`
 prices one move at a time; the `oracle_*` helpers scan the public
 `neighborhood()` with it and apply the selection rules move by move, the
 way the search did before it priced moves in numpy blocks.
+`reference_decode` and `reference_triangle` are the entry-by-entry
+decoder and the k-major triangle check that `metric` used before it
+decoded a table in one step and checked it against the min-plus square.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
 from rbmedian.local_search import SwapMove, neighborhood
@@ -104,3 +109,47 @@ def oracle_pick(moves, rule: str, accepted):
         i = min(range(len(moves)), key=lambda i: moves[i][1])  # first minimum
         return i if accepted(moves[i][1]) else None
     return next((i for i, (_mv, d) in enumerate(moves) if accepted(d)), None)
+
+
+def _decode_value(x):
+    if isinstance(x, bool):
+        raise ValueError(f"distance entries must be numbers or decimal strings, got {x!r}")
+    if isinstance(x, (int, float)):
+        return x
+    if isinstance(x, str):
+        return float(x)
+    raise ValueError(f"distance entries must be numbers or decimal strings, got {x!r}")
+
+
+def reference_decode(rows) -> np.ndarray:
+    """JSON distance rows decoded entry by entry, then made float in a
+    second pass unless every entry is an int; the array's type as
+    `from_matrix` inferred it. Entries must fit int64."""
+    values = [[_decode_value(x) for x in row] for row in rows]
+    integral = all(isinstance(x, int) for row in values for x in row)
+    if not integral:
+        values = [[float(x) for x in row] for row in values]
+    arr = np.asarray(values)
+    return arr.astype(np.int64 if np.issubdtype(arr.dtype, np.integer) else np.float64)
+
+
+def reference_triangle(arr: np.ndarray, tau: float):
+    """The first triangle violation (i, k, j) in k-major, then row-major
+    order, or None: d(i, j) > d(i, k) + d(k, j) beyond the relative slack."""
+    for k in range(arr.shape[0]):
+        via = arr[:, k, None] + arr[None, k, :]
+        allowed = via + tau * np.maximum(1.0, via) if tau else via
+        bad = np.argwhere(arr > allowed)
+        if len(bad):
+            i, j = map(int, bad[0])
+            return i, k, j
+    return None
+
+
+def violating_pairs(arr: np.ndarray, tau: float) -> np.ndarray:
+    """Mask of every (i, j) that violates the triangle inequality via some k."""
+    mask = np.zeros(arr.shape, dtype=bool)
+    for k in range(arr.shape[0]):
+        via = arr[:, k, None] + arr[None, k, :]
+        mask |= arr > (via + tau * np.maximum(1.0, via) if tau else via)
+    return mask

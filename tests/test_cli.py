@@ -5,6 +5,8 @@ import io
 import json
 import random
 
+import pytest
+
 from conftest import grid_instance, line_instance
 from rbmedian.cli import (
     EXIT_CAP_REFUSED,
@@ -151,6 +153,56 @@ class TestExact:
                                     "k_r": 1, "k_b": 1}))
         assert main(["exact", str(path)]) == EXIT_INPUT_ERROR
         assert "2^63" in capsys.readouterr().err
+
+
+def write_doc(tmp_path, metric, n):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": n, "metric": metric, "clients": list(range(n - 2)),
+                                "red": [n - 2], "blue": [n - 1], "k_r": 1, "k_b": 1}))
+    return str(path)
+
+
+class TestBadDistanceData:
+    """Tables that int64 arithmetic, JSON decoding or the metric contract
+    cannot represent are input errors (exit 2), never a wrong cost or a crash."""
+
+    @pytest.mark.parametrize("entry", [True, None, [1], "abc", 2**63])
+    def test_bad_matrix_entry(self, tmp_path, capsys, entry):
+        path = write_doc(tmp_path, {"matrix": [[0, entry, 1], [entry, 0, 1], [1, 1, 0]]}, 3)
+        assert main(["exact", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("metric, n, message", [
+        # (a) sums of two entries wrapped, and a valid metric got a false witness
+        ({"matrix": [[0, 2**62, 2**62], [2**62, 0, 2**62], [2**62, 2**62, 0]]}, 3, "2^62"),
+        # (b) the auto sentinel 2^62 + 1 wrapped to an all-negative table
+        ({"graph": {"edges": [[0, 1, 2**61], [2, 3, 2**61]]}}, 4, "2^62"),
+        # (c) the auto sentinel 2^63 + 1 did not fit the table at all
+        ({"graph": {"edges": [[0, 1, 2**62], [1, 2, 2**62]]}}, 3, "2^62"),
+    ], ids=["matrix-2^62", "graph-sentinel-wraps", "graph-sentinel-overflows"])
+    def test_int64_overflow(self, tmp_path, capsys, metric, n, message):
+        assert main(["exact", write_doc(tmp_path, metric, n)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", float("inf"), float("nan")])
+    def test_non_finite_matrix_entry(self, tmp_path, capsys, value):
+        path = write_doc(tmp_path, {"matrix": [[0, value, 1], [value, 0, 1], [1, 1, 0]]}, 3)
+        assert main(["exact", path]) == EXIT_INPUT_ERROR
+        assert "non-finite distance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", float("inf")])
+    def test_non_finite_edge_length(self, tmp_path, capsys, value):
+        path = write_doc(tmp_path, {"graph": {"edges": [[0, 1, 1], [1, 2, value]]}}, 3)
+        assert main(["exact", path]) == EXIT_INPUT_ERROR
+        assert "non-finite edge length" in capsys.readouterr().err
+
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_bytes(b'{"n": \xff}')
+        assert main(["exact", str(path)]) == EXIT_INPUT_ERROR
+        assert "malformed instance document" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Nearest-facility map, classification, grouping, blocks, and checkers."""
 
+import json
 import random
 
 import numpy as np
@@ -10,11 +11,14 @@ from rbmedian.decomposition import (
     BLUE,
     RED,
     Block,
+    BlockCheckReport,
+    BoundsReport,
     FacilityClass,
     Group,
     GroupKind,
     OverlapError,
     PhiMap,
+    Violation,
     build_phi,
     check_block_properties,
     check_standard_bounds,
@@ -409,6 +413,18 @@ class TestStandardBounds:
             gap.instance, gap.local_solution, gap.global_solution, phi
         )
         assert rep.ok, rep.to_doc()
+
+
+class TestViolationDocs:
+    def test_both_reports_write_the_same_bytes(self):
+        v = [Violation("client 3", "anchor_bound", "d = 9 > 7")]
+        block = BlockCheckReport(blocks_checked=2, violations=v).to_doc()
+        bounds = BoundsReport(clients_checked=4, violations=v, max_slack_anchor=-2,
+                              max_slack_centre=1).to_doc()
+        entry = '[{"where": "client 3", "check": "anchor_bound", "detail": "d = 9 > 7"}]'
+        assert json.dumps(block) == '{"blocks_checked": 2, "ok": false, "violations": ' + entry + "}"
+        assert json.dumps(bounds) == ('{"clients_checked": 4, "ok": false, "max_slack_anchor": -2, '
+                                      '"max_slack_centre": 1, "violations": ' + entry + "}")
 
 
 class TestDecomposeReport:

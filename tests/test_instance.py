@@ -1,6 +1,7 @@
 """Instance model: evaluation, disjointification, generation, JSON formats."""
 
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -305,6 +306,18 @@ class TestSerialization:
     def test_bytes_unchanged(self, make, digest):
         # Digests of the per-entry encoder that serialize used to call.
         assert hashlib.sha256(serialize(make())).hexdigest() == digest
+
+    def test_solution_doc_bytes_unchanged(self):
+        from rbmedian.exact import brute_force_opt
+        from rbmedian.local_search import SearchConfig, run
+
+        sol = Solution(R={4, 2}, B={9})
+        assert serialize_solution(sol) == b'{"R":[2,4],"B":[9]}'
+        assert json.dumps(sol.to_doc()) == '{"R": [2, 4], "B": [9]}'
+        inst = line_instance([0, 9, 20], [1, 8, 15], [4, 5], k_r=2, k_b=1)
+        for result in (run(inst, SearchConfig()), brute_force_opt(inst)):
+            doc = json.dumps(result.to_doc())
+            assert doc.startswith('{"solution": ' + json.dumps(result.solution.to_doc()) + ', "cost": ')
 
     def test_solution_round_trip(self):
         sol = Solution(R={4, 2}, B={9})

@@ -1,12 +1,20 @@
 """Metric construction and validation."""
 
+import json
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import grid_instance
+from oracle import reference_decode, reference_triangle, violating_pairs
+from rbmedian.instance import FormatError, gen_euclidean, serialize
 from rbmedian.metric import (
+    FLOAT_TOL,
     GraphSpec,
     MetricError,
+    _decode,
     from_graph,
     from_matrix,
 )
@@ -166,3 +174,200 @@ class TestMetricSpaceSurface:
         space = from_matrix([[0, 2], [2, 0]])
         with pytest.raises(ValueError):
             space.dist[0, 1] = 5
+
+
+def same_array(a, b):
+    """Equal in type and bit for bit."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mixed_rows(rng, n, integral):
+    """An n x n table of JSON entry forms: ints, floats and decimal strings,
+    all ints when integral. Values span small, large and fractional ones."""
+    def entry():
+        v = rng.choice([rng.randint(0, 60), rng.randint(-(2**62), 2**62)])
+        if integral:
+            return v
+        v = rng.choice([v, rng.random() * 10 ** rng.randint(-8, 30)])
+        return rng.choice([v, float(v), repr(float(v)), str(int(v)), f"{v:.6e}"])
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+class TestDecodeOracle:
+    def test_serialized_tables_match_reference(self):
+        rng = random.Random(0xDEC0)
+        docs = [serialize(grid_instance(rng, rng.randint(1, 12), rng.randint(1, 5),
+                                        rng.randint(1, 5), 1, 1, span=rng.choice([5, 10**9])))
+                for _ in range(20)]
+        docs += [serialize(gen_euclidean(rng.randint(1, 12), 3, 3, 1, 1,
+                                         box_size=rng.choice([1.0, 1e-3, 1e12]), seed=s))
+                 for s in range(20)]
+        for doc in docs:
+            rows = json.loads(doc)["metric"]["matrix"]
+            assert same_array(_decode(rows), reference_decode(rows))
+
+    def test_mixed_rows_match_reference(self):
+        rng = random.Random(0xD1CE)
+        for t in range(200):
+            rows = mixed_rows(rng, rng.randint(1, 8), integral=t % 4 == 0)
+            got = _decode(rows)
+            assert (got.dtype == np.int64) == all(type(x) is int for row in rows for x in row)
+            assert same_array(got, reference_decode(rows))
+
+    def test_big_integers_in_a_float_table_round_like_float(self):
+        rows = [[2**70 + 1, 2**53 + 1, "0.5"], [-(2**64) - 3, 0, 1.0]]
+        assert same_array(_decode(rows), reference_decode(rows))
+
+    @given(st.lists(st.lists(st.one_of(
+        st.integers(-(2**63), 2**63 - 1),
+        st.floats(),
+        st.floats().map(repr),
+        st.integers(-(10**30), 10**30).map(str),
+    ), min_size=3, max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_rows_match_reference(self, rows):
+        assert same_array(_decode(rows), reference_decode(rows))
+
+    @pytest.mark.parametrize("entry", [True, None, [1], {"a": 1}, "abc", "1,5", 2**63, -(2**63) - 1])
+    def test_bad_entries_are_format_errors(self, entry):
+        with pytest.raises(FormatError):
+            from_matrix([[0, entry], [entry, 0]])
+
+    def test_array_input_keeps_its_kind(self):
+        assert from_matrix(np.array([[0, 2], [2, 0]], dtype=np.int32)).integral
+        assert not from_matrix(np.array([[0, 2], [2, 0]], dtype=np.float32)).integral
+
+
+def perturbed(rng, dist, tau, cross):
+    """dist with one pair (i, j) set to the largest value the triangle check
+    allows via the other points, or to the next float or integer above it."""
+    d = dist.copy()
+    n = len(d)
+    i, j = rng.sample(range(n), 2)
+    others = [k for k in range(n) if k not in (i, j)]
+    via = (d[i, others] + d[others, j]).min()
+    top = via + tau * max(1.0, via) if tau else via
+    if cross:
+        top = top + 1 if d.dtype == np.int64 else np.nextafter(top, np.inf)
+    d[i, j] = d[j, i] = top
+    return d
+
+
+def check_witness(arr, tau):
+    """from_matrix decides as the k-major reference does, and its witness
+    is a real violation at the lowest violating (i, j), via the lowest k
+    attaining min_k d(i, k) + d(k, j)."""
+    expected = reference_triangle(arr, tau)
+    if expected is None:
+        from_matrix(arr, tau=tau, check_triangle=True)
+        return False
+    with pytest.raises(MetricError) as exc:
+        from_matrix(arr, tau=tau, check_triangle=True)
+    i, k, j = exc.value.witness
+    via = arr[i, k] + arr[k, j]
+    assert arr[i, j] > (via + tau * max(1.0, via) if tau else via)
+    assert (i, j) == tuple(np.argwhere(violating_pairs(arr, tau))[0])
+    assert k == np.argmin(arr[i, :] + arr[:, j])
+    return True
+
+
+class TestTriangleOracle:
+    @pytest.mark.parametrize("floats", [False, True])
+    def test_boundary_perturbations_match_reference(self, floats):
+        rng = random.Random(0x7A1 + floats)
+        rejected = accepted = 0
+        for t in range(120):
+            inst = grid_instance(rng, rng.randint(1, 8), rng.randint(1, 3), rng.randint(1, 3), 1, 1,
+                                 span=rng.choice([10, 1000]))
+            dist = inst.space.dist.astype(np.float64 if floats else np.int64)
+            if t % 3 == 0 and floats:
+                dist = gen_euclidean(rng.randint(2, 12), 1, 1, 1, 1, box_size=50.0, seed=t).space.dist
+            for tau in (0.0, FLOAT_TOL) if floats else (0.0,):
+                for cross in (False, True):
+                    hit = check_witness(perturbed(rng, dist, tau, cross), tau)
+                    rejected += hit
+                    accepted += not hit
+        assert rejected > 100 and accepted > 100
+
+    def test_tables_with_many_violations(self):
+        rng = random.Random(0xBAD)
+        for t in range(150):
+            n = rng.randint(1, 9)
+            d = np.zeros((n, n), dtype=np.int64 if t % 2 else np.float64)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d[i, j] = d[j, i] = rng.randint(1, 40) if t % 2 else rng.uniform(1, 40)
+            for tau in (0.0, FLOAT_TOL):
+                check_witness(d, tau)
+
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_tables_match_reference(self, n, seed, floats, near_metric):
+        rng = np.random.default_rng(seed)
+        if near_metric:
+            pts = rng.integers(0, 20, size=(n, 2))
+            d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)
+            d = np.maximum(d + np.triu(rng.integers(-1, 2, size=(n, n)), 1), 0)
+        else:
+            d = np.triu(rng.integers(0, 30, size=(n, n)), 1)
+        d = d + d.T
+        if floats:
+            d = d * rng.uniform(0.5, 2.0)
+            d = np.triu(d, 1) + np.triu(d, 1).T
+        for tau in (0.0, FLOAT_TOL):
+            check_witness(d, tau)
+
+
+class TestInt64Bounds:
+    def test_entries_of_2_62_rejected_not_misreported(self):
+        b = 2**62
+        with pytest.raises(MetricError, match=r"2\^62") as exc:
+            from_matrix([[0, b, b], [b, 0, b], [b, b, 0]])
+        assert exc.value.witness is None
+        space = from_matrix([[0, b - 1, b - 1], [b - 1, 0, b - 1], [b - 1, b - 1, 0]])
+        assert space.d(0, 1) == b - 1
+
+    def test_graph_whose_sentinel_would_wrap_rejected(self):
+        b = 2**61
+        with pytest.raises(MetricError, match=r"2\^62"):
+            from_graph(GraphSpec(n=4, edges=((0, 1, b), (2, 3, b))))
+        with pytest.raises(MetricError, match=r"2\^62"):
+            from_graph(GraphSpec(n=3, edges=((0, 1, 2**62), (1, 2, 2**62))))
+        with pytest.raises(MetricError, match=r"2\^62"):
+            from_graph(GraphSpec(n=2, edges=(), sentinel_policy=2**62))
+        space = from_graph(GraphSpec(n=4, edges=((0, 1, b), (2, 3, b - 2))))
+        assert space.d(0, 2) == 2**62 - 1
+        assert space.d(0, 1) + space.d(1, 2) == 2**62 + b - 1  # exact in Python ints
+
+    def test_large_float_tables_need_no_bound(self):
+        b = 2.0**70
+        space = from_matrix([[0.0, b], [b, 0.0]])
+        assert space.d(0, 1) == b
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("entry", [float("inf"), float("nan"), "inf", "nan", "-inf", "1e400"])
+    def test_matrix_entries_rejected(self, entry):
+        with pytest.raises(MetricError, match="non-finite distance") as exc:
+            from_matrix([[0, 1, entry], [1, 0, 1], [entry, 1, 0]])
+        assert exc.value.witness == (0, 2)
+
+    @pytest.mark.parametrize("length", [float("inf"), float("nan"), "inf", "nan", "-inf"])
+    def test_graph_lengths_rejected(self, length):
+        with pytest.raises(MetricError, match="non-finite edge length") as exc:
+            from_graph(GraphSpec(n=3, edges=((0, 1, 1), (1, 2, length))))
+        assert "(1, 2, " in str(exc.value)
+
+    def test_graph_whose_sentinel_sums_past_float_range_rejected(self):
+        with pytest.raises(MetricError, match="infinity"):
+            from_graph(GraphSpec(n=3, edges=((0, 1, 1e308), (1, 2, 1e308))))
+
+    @pytest.mark.parametrize("sentinel", [float("inf"), float("nan"), -1, True, "7"])
+    def test_bad_explicit_sentinel_rejected(self, sentinel):
+        with pytest.raises(MetricError, match="sentinel"):
+            from_graph(GraphSpec(n=2, edges=(), sentinel_policy=sentinel))
+
+    def test_float_sentinel_makes_a_float_table(self):
+        space = from_graph(GraphSpec(n=3, edges=((0, 1, 2),), sentinel_policy=9.5))
+        assert not space.integral
+        assert space.rows == [[0.0, 2.0, 9.5], [2.0, 0.0, 9.5], [9.5, 9.5, 0.0]]
