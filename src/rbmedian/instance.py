@@ -269,7 +269,7 @@ def _int_list(doc: dict, key: str) -> list:
 
 def _load_object(data, what: str) -> dict:
     try:
-        doc = json.loads(data)  # bytes or str
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except ValueError as e:  # bad JSON or bad UTF-8
         raise FormatError(f"malformed {what}: {e}") from None
     if not isinstance(doc, dict):
@@ -308,20 +308,17 @@ def parse(data) -> Instance:
     else:
         raise FormatError("'metric' must contain either 'matrix' or 'graph'")
 
-    k_r = _require(doc, "k_r")
-    k_b = _require(doc, "k_b")
-    if not isinstance(k_r, int) or isinstance(k_r, bool):
-        raise FormatError(f"'k_r' must be an integer, got {k_r!r}")
-    if not isinstance(k_b, int) or isinstance(k_b, bool):
-        raise FormatError(f"'k_b' must be an integer, got {k_b!r}")
+    for key in ("k_r", "k_b"):
+        if type(_require(doc, key)) is not int:
+            raise FormatError(f"{key!r} must be an integer, got {doc[key]!r}")
 
     return Instance(
         space=space,
         clients=tuple(_int_list(doc, "clients")),
         red=tuple(_int_list(doc, "red")),
         blue=tuple(_int_list(doc, "blue")),
-        k_r=k_r,
-        k_b=k_b,
+        k_r=doc["k_r"],
+        k_b=doc["k_b"],
     )
 
 

@@ -94,6 +94,9 @@ def _decode(rows) -> np.ndarray:
     """Nested rows of ints, floats or decimal strings (the JSON forms) as
     one array: int64 if every entry is an int, else float64, strings read as
     `float` reads them. Other entries, or ones that do not fit, are a FormatError."""
+    for row in (rows if isinstance(rows, (list, tuple)) else [rows]):
+        if not isinstance(row, (list, tuple)):
+            raise FormatError(f"distance table rows must be lists, got {row!r}")
     kinds = set(map(type, chain.from_iterable(rows)))
     if not kinds <= _ENTRY_TYPES:
         bad = next(x for x in chain.from_iterable(rows) if type(x) not in _ENTRY_TYPES)
@@ -124,7 +127,10 @@ def from_matrix(table, tau: float | None = None, check_triangle: bool | None = N
     n <= TRIANGLE_CHECK_LIMIT"; pass True/False to force either way.
     Raises MetricError with witnessing indices on the first failure found.
     """
-    arr = _decode(table.tolist() if isinstance(table, np.ndarray) else table)
+    if isinstance(table, np.ndarray):
+        arr = _decode(table.tolist()).reshape(table.shape)  # tolist() flattens an empty table
+    else:
+        arr = _decode(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MetricError(f"distance table must be square, got shape {arr.shape}")
     integral = arr.dtype == np.int64
@@ -145,7 +151,7 @@ def from_matrix(table, tau: float | None = None, check_triangle: bool | None = N
     if len(asym):
         i, j = map(int, asym[0])
         raise MetricError(f"asymmetry at ({i}, {j}): {arr[i, j]} != {arr[j, i]}", witness=(i, j))
-    if integral and arr.max() >= INT_LIMIT:
+    if integral and arr.max(initial=0) >= INT_LIMIT:
         raise MetricError(
             f"integer distance {arr.max()} is not below 2^62: two could overflow int64")
 

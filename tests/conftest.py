@@ -5,13 +5,12 @@ checked with exact arithmetic; Euclidean instances come straight from the
 package generator when the float path matters.
 
 Hypothesis runs derandomized by default, so every run tries the same
-examples and a failure reproduces as it stands. Set
-HYPOTHESIS_PROFILE=default to explore with fresh random examples.
+examples and a failure reproduces as it stands. Run
+`pytest --hypothesis-profile=default` to explore with fresh random examples.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
@@ -21,7 +20,7 @@ from rbmedian.instance import Instance, Solution
 from rbmedian.metric import MetricSpace
 
 settings.register_profile("derandomized", derandomize=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
+settings.load_profile("derandomized")
 
 
 def grid_instance(rng: random.Random, n_clients: int, n_red: int, n_blue: int,

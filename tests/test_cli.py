@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -198,11 +199,22 @@ class TestBadDistanceData:
         assert main(["exact", path]) == EXIT_INPUT_ERROR
         assert "non-finite edge length" in capsys.readouterr().err
 
-    def test_undecodable_bytes(self, tmp_path, capsys):
-        path = tmp_path / "instance.json"
-        path.write_bytes(b'{"n": \xff}')
-        assert main(["exact", str(path)]) == EXIT_INPUT_ERROR
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.encode("utf-8") + b"\xff",
+        lambda text: text.encode("utf-16"),
+        lambda text: text.encode("utf-8-sig"),
+    ], ids=["bad-byte", "utf-16", "utf-8-bom"])
+    def test_documents_must_be_plain_utf8(self, tmp_path, capsys, encode):
+        inst = line_instance([0, 9], [1, 8], [4, 5], k_r=1, k_b=1)
+        good = Path(put_instance(tmp_path, inst))
+        bad = tmp_path / "encoded.json"
+        bad.write_bytes(encode(good.read_text()))
+        assert main(["exact", str(bad)]) == EXIT_INPUT_ERROR
         assert "malformed instance document" in capsys.readouterr().err
+        sol = put_solution(tmp_path, Solution(R={2}, B={4}), "sol.json")
+        bad.write_bytes(encode(Path(sol).read_text()))
+        assert main(["verify", str(good), str(bad)]) == EXIT_INPUT_ERROR
+        assert "malformed solution document" in capsys.readouterr().err
 
 
 class TestVerify:

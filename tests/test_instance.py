@@ -291,6 +291,17 @@ class TestSerialization:
             parse(doc)
         assert "k_r" in str(exc.value)
 
+    @pytest.mark.parametrize("k_r, k_b, key", [
+        ("true", "0", "k_r"), ("1", "0.0", "k_b"), ('"1"', "0", "k_r"), ("1", "null", "k_b"),
+    ])
+    def test_budget_must_be_an_integer(self, k_r, k_b, key):
+        doc = (
+            b'{"n": 2, "metric": {"matrix": [[0, 1], [1, 0]]},'
+            b' "clients": [0], "red": [1], "blue": [], "k_r": %s, "k_b": %s}'
+        ) % (k_r.encode(), k_b.encode())
+        with pytest.raises(FormatError, match=f"'{key}' must be an integer"):
+            parse(doc)
+
     def test_fractional_distances_survive_as_decimal_strings(self):
         inst = gen_euclidean(3, 2, 2, 1, 1, seed=1)
         raw = serialize(inst)

@@ -237,6 +237,16 @@ class TestDecodeOracle:
         assert from_matrix(np.array([[0, 2], [2, 0]], dtype=np.int32)).integral
         assert not from_matrix(np.array([[0, 2], [2, 0]], dtype=np.float32)).integral
 
+    def test_empty_array_is_the_empty_space(self):
+        space = from_matrix(np.zeros((0, 0), dtype=np.int64))
+        assert space.n == 0 and space.dist.shape == (0, 0)
+
+    @pytest.mark.parametrize("table", [[1, 2], np.array([1, 2]), np.array(5), 5, ["ab", "cd"]],
+                             ids=["list", "1-d-array", "0-d-array", "scalar", "strings"])
+    def test_tables_without_rows_are_format_errors(self, table):
+        with pytest.raises(FormatError):
+            from_matrix(table)
+
 
 def perturbed(rng, dist, tau, cross):
     """dist with one pair (i, j) set to the largest value the triangle check
