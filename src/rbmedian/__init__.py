@@ -25,7 +25,6 @@ from .instance import (
     parse_solution,
     serialize,
     serialize_solution,
-    with_budgets,
 )
 from .local_search import (
     InvalidMoveError,
@@ -34,7 +33,6 @@ from .local_search import (
     SwapMove,
     apply_move,
     delta_cost,
-    neighborhood,
     neighborhood_size,
     run,
     validate_move,
@@ -53,7 +51,6 @@ from .decomposition import (
     classify,
     colour_map,
     decompose,
-    deficiency,
     make_blocks,
     make_groups,
 )
@@ -107,7 +104,6 @@ __all__ = [
     "classify",
     "colour_map",
     "decompose",
-    "deficiency",
     "delta_cost",
     "disjointify",
     "evaluate",
@@ -118,7 +114,6 @@ __all__ = [
     "is_local_opt",
     "make_blocks",
     "make_groups",
-    "neighborhood",
     "neighborhood_size",
     "parse",
     "parse_solution",
@@ -128,5 +123,4 @@ __all__ = [
     "serialize_solution",
     "validate_move",
     "verify",
-    "with_budgets",
 ]

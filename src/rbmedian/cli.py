@@ -21,6 +21,7 @@ from .errors import CapExceeded, InputError, InternalInvariantError
 from .exact import DEFAULT_CAP, brute_force_opt, is_local_opt
 from .gap_gen import GapParams, build as build_gap, verify as verify_gap
 from .instance import (
+    _load_object,
     disjointify as _disjointify,
     gen_euclidean,
     parse,
@@ -226,12 +227,7 @@ def run_experiment(spec: dict, out_stream) -> list:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        spec = json.loads(_read(args.spec))
-    except json.JSONDecodeError as e:
-        raise InputError(f"malformed experiment spec: {e}") from None
-    if not isinstance(spec, dict):
-        raise InputError("experiment spec must be a JSON object")
+    spec = _load_object(_read(args.spec), "experiment spec")
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             run_experiment(spec, fh)

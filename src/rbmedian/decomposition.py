@@ -55,19 +55,15 @@ class PhiMap:
     phi: reference facility -> nearest candidate facility.
     deg: candidate facility -> preimage count under phi.
     cent: candidate facility with deg > 0 -> its nearest preimage.
+    pre: candidate facility -> its preimages, ascending.
     """
 
     phi: dict
     deg: dict
     cent: dict
+    pre: dict
     s_facilities: tuple
     o_facilities: tuple
-
-    def preimages(self) -> dict:
-        pre = {i: [] for i in self.s_facilities}
-        for o, i in self.phi.items():
-            pre[i].append(o)
-        return {i: sorted(v) for i, v in pre.items()}
 
 
 @dataclass(eq=False)
@@ -123,17 +119,19 @@ def build_phi(inst: Instance, s_sol: Solution, o_sol: Solution) -> PhiMap:
     deg = dict.fromkeys(s_fac, 0)
     deg.update(zip(heads.tolist(), counts.tolist()))
     cent = dict(zip(heads.tolist(), o_arr[order[first]].tolist()))
-    return PhiMap(phi=phi, deg=deg, cent=cent,
+    pre = {i: [] for i in s_fac}
+    for o, i in phi.items():  # o ascends, so each list comes out sorted
+        pre[i].append(o)
+    return PhiMap(phi=phi, deg=deg, cent=cent, pre=pre,
                   s_facilities=tuple(s_fac), o_facilities=tuple(o_fac))
 
 
 def classify(phi: PhiMap, colours: dict) -> dict:
-    pre = phi.preimages()
     out = {}
     for i in phi.s_facilities:
         if phi.deg[i] == 0:
             out[i] = FacilityClass.VERY_GOOD
-        elif all(colours[o] != colours[i] for o in pre[i]):
+        elif all(colours[o] != colours[i] for o in phi.pre[i]):
             out[i] = FacilityClass.GOOD
         else:
             out[i] = FacilityClass.BAD
@@ -150,14 +148,13 @@ def make_groups(phi: PhiMap, classes: dict, colours: dict) -> list:
     drains whichever colour pool fell short before topping up from the
     other, which is the only way a group goes bad.
     """
-    pre = phi.preimages()
     pools = {
         RED: [i for i in phi.s_facilities if phi.deg[i] == 0 and colours[i] == RED],
         BLUE: [i for i in phi.s_facilities if phi.deg[i] == 0 and colours[i] == BLUE],
     }
     groups = []
     for rep in (i for i in phi.s_facilities if phi.deg[i] > 0):
-        mine = pre[rep]
+        mine = phi.pre[rep]
         need = len(mine) - 1
         rep_col = colours[rep]
         other_col = BLUE if rep_col == RED else RED
@@ -217,12 +214,6 @@ def make_groups(phi: PhiMap, classes: dict, colours: dict) -> list:
             f"zero-degree facilities left over after grouping: {leftover}"
         )
     return groups
-
-
-def deficiency(members, s_sol: Solution, o_sol: Solution) -> int:
-    """Reference blues minus candidate blues inside a location set."""
-    members = set(members)
-    return len(members & o_sol.B) - len(members & s_sol.B)
 
 
 def _merge(groups, leader) -> Block:
@@ -311,18 +302,18 @@ class BlockCheckReport:
         }
 
 
-def check_block_properties(blocks: list, phi: PhiMap, colours: dict) -> BlockCheckReport:
+def check_block_properties(blocks: list, phi: PhiMap, classes: dict,
+                           colours: dict) -> BlockCheckReport:
     """Verify the structural guarantees every block must satisfy.
 
     Per block: equal red counts and equal blue counts across the two
     sides; closure under phi in both directions; exactly one positive
     degree leader whose fellow candidate members are good or very good,
     with all good ones sharing a colour. Globally: blocks partition S u O.
+    `classes` is `classify(phi, colours)`.
     """
     s_set = set(phi.s_facilities)
     o_set = set(phi.o_facilities)
-    classes = classify(phi, colours)
-    pre = phi.preimages()
     violations = []
 
     seen = {}
@@ -354,7 +345,7 @@ def check_block_properties(blocks: list, phi: PhiMap, colours: dict) -> BlockChe
                 )
             )
         for i in cand:
-            out = [o for o in pre[i] if o not in blk.members]
+            out = [o for o in phi.pre[i] if o not in blk.members]
             if out:
                 violations.append(
                     Violation(where, "phi_closure", f"preimages of {i} escape the block: {out}")
@@ -521,7 +512,7 @@ def decompose(inst: Instance, s_sol: Solution, o_sol: Solution) -> Decomposition
     classes = classify(phi, colours)
     groups = make_groups(phi, classes, colours)
     blocks = make_blocks(groups)
-    block_report = check_block_properties(blocks, phi, colours)
+    block_report = check_block_properties(blocks, phi, classes, colours)
     bounds_report = check_standard_bounds(inst, s_sol, o_sol, phi)
     return DecompositionReport(
         instance=inst,

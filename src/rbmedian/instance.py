@@ -21,7 +21,7 @@ so round-trips are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -111,9 +111,6 @@ class Solution:
         object.__setattr__(self, "R", frozenset(self.R))
         object.__setattr__(self, "B", frozenset(self.B))
 
-    def open_sorted(self) -> list:
-        return sorted(self.R | self.B)
-
     def facilities(self) -> frozenset:
         return self.R | self.B
 
@@ -171,7 +168,7 @@ def evaluate(inst: Instance, sol: Solution) -> Assignment:
     are exact; with no clients the total is int 0.
     """
     check_feasible(inst, sol)
-    facility, distance = nearest(inst.space.dist, inst.clients, sol.open_sorted())
+    facility, distance = nearest(inst.space.dist, inst.clients, sol.facilities())
     total = distance.cumsum()[-1].item() if len(distance) else 0
     return Assignment(solution=sol, facility=facility, distance=distance, total=total)
 
@@ -207,11 +204,6 @@ def disjointify(inst: Instance, s_sol: Solution, o_sol: Solution):
     return bigger, s_sol, o_new
 
 
-def with_budgets(inst: Instance, k_r: int, k_b: int) -> Instance:
-    """Same locations and metric, different opening budgets."""
-    return replace(inst, k_r=k_r, k_b=k_b)
-
-
 def gen_euclidean(n_clients: int, n_red: int, n_blue: int, k_r: int, k_b: int,
                   box_size: float = 1.0, seed: int = 0) -> Instance:
     """Random planar instance: points uniform in a box, Euclidean distances.
@@ -240,7 +232,7 @@ def gen_euclidean(n_clients: int, n_red: int, n_blue: int, k_r: int, k_b: int,
 
 
 def serialize(inst: Instance) -> bytes:
-    rows = inst.space.rows
+    rows = inst.space.dist.tolist()
     matrix = rows if inst.space.integral else [list(map(repr, row)) for row in rows]
     doc = {
         "n": inst.space.n,

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -67,9 +68,6 @@ class SwapMove:
     def __post_init__(self):
         for side in _SIDES:
             object.__setattr__(self, side, tuple(sorted(getattr(self, side))))
-
-    def is_empty(self) -> bool:
-        return not (self.close_red or self.open_red or self.close_blue or self.open_blue)
 
     def to_doc(self) -> dict:
         return {side: list(getattr(self, side)) for side in _SIDES}
@@ -112,7 +110,7 @@ class SearchResult:
         }
 
 
-def validate_move(inst: Instance, sol: Solution, move: SwapMove, p: int | None = None) -> None:
+def validate_move(inst: Instance, sol: Solution, move: SwapMove) -> None:
     for label, close, open_, pool, current in (
         ("red", move.close_red, move.open_red, inst.red_set, sol.R),
         ("blue", move.close_blue, move.open_blue, inst.blue_set, sol.B),
@@ -123,8 +121,6 @@ def validate_move(inst: Instance, sol: Solution, move: SwapMove, p: int | None =
             )
         if len(set(close)) != len(close) or len(set(open_)) != len(open_):
             raise InvalidMoveError(f"{label} swap lists contain duplicates")
-        if p is not None and len(close) > p:
-            raise InvalidMoveError(f"{label} swap size {len(close)} exceeds p = {p}")
         stray = set(close) - current
         if stray:
             raise InvalidMoveError(f"cannot close {label} facilities not open: {sorted(stray)}")
@@ -165,13 +161,6 @@ def _swap_groups(inst: Instance, sol: Solution, p: int):
                 continue
             yield (list(combinations(r_open, a)), list(combinations(r_pool, a)),
                    list(combinations(b_open, b)), list(combinations(b_pool, b)))
-
-
-def neighborhood(inst: Instance, sol: Solution, p: int):
-    """Yield every valid move of size at most p per colour, canonical order."""
-    for group in _swap_groups(inst, sol, p):
-        for cr, orr, cb, ob in product(*group):
-            yield SwapMove(cr, orr, cb, ob)
 
 
 def neighborhood_size(inst: Instance, p: int) -> int:
@@ -266,15 +255,17 @@ def _select_move(inst, assignment, config):
     """Return (move, delta) for the accepted move this iteration, or None.
 
     Acceptance: delta < 0 always, and with epsilon > 0 additionally
-    new <= (1 - epsilon/n) * current. Strict decrease is required even at
+    new <= (1 - epsilon/n) * current, in exact rationals for integer
+    costs and in float otherwise. Strict decrease is required even at
     the threshold so traces are strictly decreasing and cost-0 states
     cannot loop.
     """
     total = assignment.total
     if config.epsilon:
-        bound = (1.0 - config.epsilon / inst.space.n) * total
         if inst.space.integral:
-            bound = math.floor(bound)  # exact for integer costs
+            bound = math.floor(total * (1 - Fraction(config.epsilon) / inst.space.n))
+        else:
+            bound = (1.0 - config.epsilon / inst.space.n) * total
 
         def accepted(delta):
             return (delta < 0) & (total + delta <= bound)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import add
 from typing import Union
@@ -65,15 +65,6 @@ class MetricSpace:
     def __post_init__(self):
         self.dist.flags.writeable = False
 
-    @cached_property
-    def rows(self) -> list:
-        """Distance table as nested lists of Python scalars, for serialization
-        and single lookups."""
-        return self.dist.tolist()
-
-    def d(self, i: int, j: int):
-        return self.rows[i][j]
-
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -101,6 +92,8 @@ def _decode(rows) -> np.ndarray:
     if not kinds <= _ENTRY_TYPES:
         bad = next(x for x in chain.from_iterable(rows) if type(x) not in _ENTRY_TYPES)
         raise FormatError(f"distance entries must be numbers or decimal strings, got {bad!r}")
+    if not rows:  # no rows is the 0 x 0 table, not a 1-D array
+        return np.zeros((0, 0), dtype=np.int64)
     dtype = np.int64 if kinds <= {int} else np.float64
     try:
         return np.array(rows, dtype=dtype)

@@ -1,10 +1,12 @@
 """Scalar references, kept as oracles for the numpy kernels.
 
 `scalar_evaluate` assigns clients one at a time in plain Python, the
-reference for `evaluate` and its `instance.nearest`. `DeltaEvaluator`
-prices one move at a time; the `oracle_*` helpers scan the public
-`neighborhood()` with it and apply the selection rules move by move, the
-way the search did before it priced moves in numpy blocks.
+reference for `evaluate` and its `instance.nearest`. `neighborhood`
+enumerates the moves one by one in canonical order and `DeltaEvaluator`
+prices one move at a time; the `oracle_*` helpers scan the first with the
+second and apply the selection rules move by move, the way the search did
+before it priced moves in numpy blocks. `deficiency` counts a location
+set's blue imbalance straight from the two solutions.
 `reference_decode` and `reference_triangle` are the entry-by-entry
 decoder and the k-major triangle check that `metric` used before it
 decoded a table in one step and checked it against the min-plus square.
@@ -12,10 +14,13 @@ decoded a table in one step and checked it against the min-plus square.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
-from rbmedian.local_search import SwapMove, neighborhood
+from rbmedian.local_search import SwapMove, _swap_groups
 
 _INF = float("inf")
 
@@ -25,8 +30,8 @@ def scalar_evaluate(inst: Instance, sol: Solution):
     with inst.clients: nearest open facility, ties to the lowest index,
     summed left to right from int 0."""
     check_feasible(inst, sol)
-    open_fac = sol.open_sorted()
-    rows = inst.space.rows
+    open_fac = sorted(sol.facilities())
+    rows = inst.space.dist.tolist()
     facility, distance = [], []
     total = 0
     for j in inst.clients:
@@ -53,11 +58,11 @@ class DeltaEvaluator:
     """
 
     def __init__(self, inst: Instance, assignment: Assignment):
-        rows = inst.space.rows
+        rows = inst.space.dist.tolist()
         self.client_rows = [rows[j] for j in inst.clients]
         self.current = assignment.distance.tolist()
         self.serving = assignment.facility.tolist()
-        self.open_sorted = assignment.solution.open_sorted()
+        self.open_sorted = sorted(assignment.solution.facilities())
 
     def delta(self, move: SwapMove):
         closing = frozenset(move.close_red) | frozenset(move.close_blue)
@@ -82,6 +87,19 @@ class DeltaEvaluator:
         return total
 
 
+def neighborhood(inst: Instance, sol: Solution, p: int):
+    """Yield every valid move of size at most p per colour, canonical order."""
+    for group in _swap_groups(inst, sol, p):
+        for cr, orr, cb, ob in product(*group):
+            yield SwapMove(cr, orr, cb, ob)
+
+
+def deficiency(members, s_sol: Solution, o_sol: Solution) -> int:
+    """Reference blues minus candidate blues inside a location set."""
+    members = set(members)
+    return len(members & o_sol.B) - len(members & s_sol.B)
+
+
 def oracle_moves(inst: Instance, sol: Solution, p: int):
     """(assignment, [(move, delta), ...]) over the neighborhood, canonical order."""
     assignment = evaluate(inst, sol)
@@ -90,13 +108,16 @@ def oracle_moves(inst: Instance, sol: Solution, p: int):
 
 
 def oracle_accepts(inst: Instance, total, epsilon: float):
-    """The search's acceptance test on one delta, in Python scalars."""
+    """The search's acceptance test on one delta, in Python scalars: the
+    epsilon bound in exact rationals for integer metrics, in float otherwise."""
     def accepted(delta):
         if not delta < 0:
             return False
-        if epsilon:
-            return total + delta <= (1.0 - epsilon / inst.space.n) * total
-        return True
+        if not epsilon:
+            return True
+        if inst.space.integral:
+            return total + delta <= total * (1 - Fraction(epsilon) / inst.space.n)
+        return total + delta <= (1.0 - epsilon / inst.space.n) * total
 
     return accepted
 

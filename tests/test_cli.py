@@ -215,6 +215,13 @@ class TestBadDistanceData:
         bad.write_bytes(encode(Path(sol).read_text()))
         assert main(["verify", str(good), str(bad)]) == EXIT_INPUT_ERROR
         assert "malformed solution document" in capsys.readouterr().err
+        spec = json.dumps({"generate": {"n_clients": 2, "n_red": 1, "n_blue": 1,
+                                        "k_r": 1, "k_b": 1}})
+        bad.write_bytes(encode(spec))
+        assert main(["experiment", "--spec", str(bad)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "malformed experiment spec" in captured.err
+        assert captured.out == ""
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
+from oracle import deficiency
 from rbmedian.decomposition import (
     BLUE,
     RED,
@@ -25,7 +26,6 @@ from rbmedian.decomposition import (
     classify,
     colour_map,
     decompose,
-    deficiency,
     make_blocks,
     make_groups,
 )
@@ -49,11 +49,13 @@ def manual_phi(phi, colours):
     deg = {i: 0 for i in s_fac}
     for tgt in phi.values():
         deg[tgt] += 1
-    cent = {i: min(o for o, t in phi.items() if t == i) for i in s_fac if deg[i]}
+    pre = {i: sorted(o for o, t in phi.items() if t == i) for i in s_fac}
+    cent = {i: pre[i][0] for i in s_fac if deg[i]}
     return PhiMap(
         phi=dict(phi),
         deg=deg,
         cent=cent,
+        pre=pre,
         s_facilities=tuple(s_fac),
         o_facilities=tuple(sorted(phi)),
     )
@@ -101,13 +103,13 @@ class TestBuildPhi:
             phi = build_phi(inst, s, o)
             s_fac = sorted(s.facilities())
             for of in sorted(o.facilities()):
-                best = min(s_fac, key=lambda i: (inst.space.d(of, i), i))
+                best = min(s_fac, key=lambda i: (inst.space.dist[of, i].item(), i))
                 assert phi.phi[of] == best
             for i in s_fac:
                 pre = [of for of in sorted(o.facilities()) if phi.phi[of] == i]
                 assert phi.deg[i] == len(pre)
                 if pre:
-                    assert phi.cent[i] == min(pre, key=lambda of: (inst.space.d(i, of), of))
+                    assert phi.cent[i] == min(pre, key=lambda of: (inst.space.dist[i, of].item(), of))
                 else:
                     assert i not in phi.cent
 
@@ -244,14 +246,15 @@ class TestMakeBlocks:
         # red rep catching a blue, blue rep catching a red; no fillers needed
         colours = {1: RED, 2: BLUE, 10: BLUE, 11: RED}
         phi = manual_phi({10: 1, 11: 2}, colours)
-        groups = make_groups(phi, classify(phi, colours), colours)
+        classes = classify(phi, colours)
+        groups = make_groups(phi, classes, colours)
         assert [g.kind for g in groups] == [GroupKind.GOOD, GroupKind.GOOD]
         assert [g.blue_deficiency for g in groups] == [+1, -1]
         blocks = make_blocks(groups)
         assert len(blocks) == 1
         assert blocks[0].leader == 1
         assert blocks[0].members == frozenset({1, 2, 10, 11})
-        rep = check_block_properties(blocks, phi, colours)
+        rep = check_block_properties(blocks, phi, classes, colours)
         assert rep.ok, rep.to_doc()
 
     def test_bad_group_absorbs_matching_good_groups(self):
@@ -268,7 +271,8 @@ class TestMakeBlocks:
         phi = build_phi(inst, s, o)
         assert phi.deg == {1: 3, 2: 0, 3: 0, 7: 1, 8: 1}
         colours = colour_map(inst)
-        groups = make_groups(phi, classify(phi, colours), colours)
+        classes = classify(phi, colours)
+        groups = make_groups(phi, classes, colours)
         assert sorted(g.kind.value for g in groups) == ["bad", "good", "good"]
         bad = next(g for g in groups if g.kind is GroupKind.BAD)
         assert bad.members == frozenset({1, 2, 3, 4, 9, 10})
@@ -281,7 +285,7 @@ class TestMakeBlocks:
         assert blocks[0].leader == bad.representative == 1
         assert len(blocks[0].groups) == 3
         assert deficiency(blocks[0].members, s, o) == 0
-        rep = check_block_properties(blocks, phi, colours)
+        rep = check_block_properties(blocks, phi, classes, colours)
         assert rep.ok, rep.to_doc()
 
     def test_bad_group_with_zero_deficiency_is_rejected(self):
@@ -320,7 +324,7 @@ class TestCheckBlockProperties:
             else b
             for b in report.blocks
         ]
-        rep = check_block_properties(mutated, report.phi, colour_map(inst))
+        rep = check_block_properties(mutated, report.phi, report.classes, colour_map(inst))
         assert not rep.ok
         checks = {v.check for v in rep.violations}
         assert "partition" in checks       # the victim is in no block now
@@ -329,10 +333,10 @@ class TestCheckBlockProperties:
     def test_foreign_leader_reported(self):
         colours = {1: RED, 2: BLUE, 10: BLUE, 11: RED}
         phi = manual_phi({10: 1, 11: 2}, colours)
-        groups = make_groups(phi, classify(phi, colours), colours)
-        blocks = make_blocks(groups)
+        classes = classify(phi, colours)
+        blocks = make_blocks(make_groups(phi, classes, colours))
         bad = [Block(groups=blocks[0].groups, leader=99, members=blocks[0].members)]
-        rep = check_block_properties(bad, phi, colours)
+        rep = check_block_properties(bad, phi, classes, colours)
         assert any(v.check == "leader" for v in rep.violations)
 
 

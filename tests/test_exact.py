@@ -7,9 +7,10 @@ import pytest
 
 import rbmedian.exact as exact
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
+from oracle import neighborhood
 from rbmedian.errors import CapExceeded
 from rbmedian.exact import brute_force_opt, is_local_opt
-from rbmedian.instance import Solution, evaluate, gen_euclidean, with_budgets
+from rbmedian.instance import Solution, evaluate, gen_euclidean
 from rbmedian.local_search import SwapMove, delta_cost
 
 
@@ -140,8 +141,6 @@ class TestIsLocalOpt:
             assert delta_cost(inst, a, verdict.witness) == verdict.witness_delta
             assert verdict.witness_delta < 0
             # no earlier move in canonical order improves
-            from rbmedian.local_search import neighborhood
-
             for i, mv in enumerate(neighborhood(inst, sol, 1)):
                 if i + 1 == verdict.moves_checked:
                     assert mv == verdict.witness

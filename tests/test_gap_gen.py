@@ -55,7 +55,7 @@ class TestBuild:
     def test_layout_distances(self):
         gap = build(GapParams(p=2, ell=4))
         inst, lay, params = gap.instance, gap.layout, gap.params
-        d = inst.space.d
+        d = inst.space.dist
         assert inst.space.n == 57
         assert len(lay.left_clients) == 3
         assert len(lay.middle_clients) == 2
@@ -64,20 +64,20 @@ class TestBuild:
         assert all(len(grp) == 2 for grp in lay.right_clients)
 
         for t, c in enumerate(lay.left_clients):
-            assert d(c, lay.hub_red) == params.alpha
-            assert d(c, lay.left_reference_reds[t]) == 0
+            assert d[c, lay.hub_red] == params.alpha
+            assert d[c, lay.left_reference_reds[t]] == 0
         for s, sec in enumerate(lay.middle_clients):
             for c_pos, c in enumerate(sec):
-                assert d(c, lay.middle_reds[s]) == params.beta
-                assert d(c, lay.middle_reference_blues[s][c_pos]) == 0
+                assert d[c, lay.middle_reds[s]] == params.beta
+                assert d[c, lay.middle_reference_blues[s][c_pos]] == 0
         for f, grp in enumerate(lay.right_clients):
             for t, c in enumerate(grp):
-                assert d(c, lay.right_local_blues[f]) == 1
-                assert d(c, lay.right_reference_blues[t]) == 1
+                assert d[c, lay.right_local_blues[f]] == 1
+                assert d[c, lay.right_reference_blues[t]] == 1
         # two clients sharing a reference blue are two hops apart
-        assert d(lay.right_clients[0][0], lay.right_clients[5][0]) == 2
+        assert d[lay.right_clients[0][0], lay.right_clients[5][0]] == 2
         # islands are unreachable from each other
-        assert d(lay.hub_red, lay.right_local_blues[0]) > gap.expected_local_cost
+        assert d[lay.hub_red, lay.right_local_blues[0]] > gap.expected_local_cost
 
     def test_designated_costs_evaluate_to_closed_forms(self):
         for p, ell in [(1, 2), (1, 4), (2, 4), (3, 6)]:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from rbmedian.instance import (
     parse_solution,
     serialize,
     serialize_solution,
-    with_budgets,
 )
 from rbmedian.metric import MetricSpace
 
@@ -134,9 +134,9 @@ class TestEvaluate:
             open_fac = sorted(sol.R | sol.B)
             total = 0
             for t, j in enumerate(inst.clients):
-                best = min(inst.space.d(j, f) for f in open_fac)
+                best = min(inst.space.dist[j, f].item() for f in open_fac)
                 assert a.distance[t] == best
-                assert inst.space.d(j, a.facility[t]) == best
+                assert inst.space.dist[j, a.facility[t]].item() == best
                 total += best
             assert a.total == total
 
@@ -174,12 +174,12 @@ class TestEvaluate:
             sol = random_feasible(rng, inst)
             base = evaluate(inst, sol).total
             if inst.k_r >= 1 and inst.k_r - 1 + inst.k_b >= 1:
-                shrunk = with_budgets(inst, inst.k_r - 1, inst.k_b)
+                shrunk = replace(inst, k_r=inst.k_r - 1)
                 smaller = Solution(R=frozenset(sorted(sol.R)[1:]), B=sol.B)
                 assert evaluate(shrunk, smaller).total >= base
             spare = sorted(inst.red_set - sol.R)
             if spare:
-                grown = with_budgets(inst, inst.k_r + 1, inst.k_b)
+                grown = replace(inst, k_r=inst.k_r + 1)
                 bigger = Solution(R=sol.R | {spare[0]}, B=sol.B)
                 assert evaluate(grown, bigger).total <= base
 
@@ -209,7 +209,7 @@ class TestDisjointify:
         assert evaluate(inst2, o2).total == evaluate(inst, s).total
         # copies sit at distance zero from their originals
         for orig, copy in zip(sorted(s.facilities()), sorted(o2.facilities())):
-            assert inst2.space.d(orig, copy) == 0
+            assert inst2.space.dist[orig, copy].item() == 0
 
     def test_costs_preserved_exactly_on_random_pairs(self):
         rng = random.Random(31337)
@@ -267,7 +267,7 @@ class TestSerialization:
             b' "clients": [0], "red": [1], "blue": [2], "k_r": 1, "k_b": 1}'
         )
         inst = parse(doc)
-        assert inst.space.d(0, 1) == 2
+        assert inst.space.dist[0, 1].item() == 2
         assert inst.space.integral
 
     def test_malformed_json_rejected(self):
@@ -281,6 +281,13 @@ class TestSerialization:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(FormatError):
             parse(b'{"n": 2, "metric": {"matrix": [[0]]}, "clients": [0], "red": [1], "blue": [], "k_r": 1, "k_b": 0}')
+
+    @pytest.mark.parametrize("metric", ['{"matrix": []}', '{"graph": {"edges": []}}'],
+                             ids=["matrix", "graph"])
+    def test_empty_instance_needs_a_facility(self, metric):
+        doc = '{"n": 0, "metric": %s, "clients": [], "red": [], "blue": [], "k_r": 0, "k_b": 0}'
+        with pytest.raises(InstanceError, match=r"k_r \+ k_b >= 1"):
+            parse(doc % metric)
 
     def test_budget_violation_names_budget(self):
         doc = (

@@ -5,7 +5,9 @@ relative FLOAT_RTOL of the current cost, and the chosen move must match
 whenever no competing delta or acceptance boundary lies that close.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,18 +182,28 @@ def test_edge_cases(name, batch):
 
 
 def test_epsilon_test_is_exact_for_large_integers():
-    # Swapping to the far red lands one unit above the threshold, which
-    # float64 cannot tell apart from the threshold itself.
-    near = 2**55
-    bound = int((1.0 - 0.3 / 3) * near)
-    inst = line_instance([0], [near, bound + 1], [], k_r=1, k_b=0)
-    sol = Solution(R={1}, B=set())
-    assignment, moves = oracle_moves(inst, sol, 1)
-    assert float(bound + 1) == float(bound)
-    for rule in ("best", "first"):
-        assert oracle_pick(moves, rule, oracle_accepts(inst, near, 0.3)) is None
-        assert ls._select_move(inst, assignment, SearchConfig(rule=rule, epsilon=0.3)) is None
-        assert ls._select_move(inst, assignment, SearchConfig(rule=rule)) is not None
+    # The bound is floor(A * (1 - Fraction(epsilon) / n)) for a current
+    # cost A. At 2^55 float64 cannot tell one past the bound from the bound
+    # itself; at 2^60 + 12345 the float product lands 28 below it.
+    big = 2**60 + 12345
+    at_big = 1124098466991687836
+    assert at_big == math.floor(big * (1 - Fraction(0.1) / 4))
+    assert at_big - math.floor((1.0 - 0.1 / 4) * big) == 28
+    cases = [  # (current cost, cost after the swap, blue locations, epsilon, accepted)
+        (2**55, int((1.0 - 0.3 / 3) * 2**55) + 1, [], 0.3, False),
+        (big, at_big, [big], 0.1, True),
+        (big, at_big + 1, [big], 0.1, False),
+    ]
+    for near, far, blue, epsilon, accepted in cases:
+        inst = line_instance([0], [near, far], blue, k_r=1, k_b=0)
+        sol = Solution(R={1}, B=set())
+        assignment, moves = oracle_moves(inst, sol, 1)
+        want = 0 if accepted else None
+        for rule in ("best", "first"):
+            assert oracle_pick(moves, rule, oracle_accepts(inst, near, epsilon)) == want
+            picked = ls._select_move(inst, assignment, SearchConfig(rule=rule, epsilon=epsilon))
+            assert (picked is not None) == accepted
+            assert ls._select_move(inst, assignment, SearchConfig(rule=rule)) is not None
 
 
 def test_delta_cost_matches_oracle_move_by_move():

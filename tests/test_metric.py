@@ -25,20 +25,20 @@ class TestFromMatrix:
         space = from_matrix([[0]])
         assert space.n == 1
         assert space.integral
-        assert space.d(0, 0) == 0
+        assert space.dist[0, 0].item() == 0
 
     def test_two_points(self):
         space = from_matrix([[0, 1], [1, 0]])
-        assert space.d(0, 1) == 1
+        assert space.dist[0, 1].item() == 1
 
     def test_zero_distance_between_distinct_points_allowed(self):
         space = from_matrix([[0, 0], [0, 0]])
-        assert space.d(0, 1) == 0
+        assert space.dist[0, 1].item() == 0
 
     def test_float_input_uses_float_path(self):
         space = from_matrix([[0.0, 1.5], [1.5, 0.0]])
         assert not space.integral
-        assert space.d(0, 1) == 1.5
+        assert space.dist[0, 1].item() == 1.5
 
     def test_triangle_violation_reports_witness(self):
         with pytest.raises(MetricError) as exc:
@@ -68,7 +68,7 @@ class TestFromMatrix:
     def test_triangle_check_can_be_skipped(self):
         bad = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
         space = from_matrix(bad, check_triangle=False)
-        assert space.d(0, 2) == 3
+        assert space.dist[0, 2].item() == 3
 
     def test_float_tolerance_accepts_tiny_violations(self):
         eps = 1e-13
@@ -82,31 +82,31 @@ class TestFromMatrix:
 class TestFromGraph:
     def test_path_graph_closure(self):
         space = from_graph(GraphSpec(n=3, edges=((0, 1, 1), (1, 2, 1))))
-        assert space.d(0, 2) == 2
+        assert space.dist[0, 2].item() == 2
         assert space.integral
 
     def test_disconnected_pair_gets_sentinel(self):
         # no edges at all: sentinel is 1 + 0
         space = from_graph(GraphSpec(n=2, edges=()))
-        assert space.d(0, 1) == 1
+        assert space.dist[0, 1].item() == 1
 
     def test_sentinel_exceeds_every_edge_sum(self):
         space = from_graph(GraphSpec(n=4, edges=((0, 1, 3), (1, 2, 4))))
-        assert space.d(0, 3) == 1 + 3 + 4
-        assert space.d(0, 2) == 7
+        assert space.dist[0, 3].item() == 1 + 3 + 4
+        assert space.dist[0, 2].item() == 7
 
     def test_explicit_sentinel_value(self):
         space = from_graph(GraphSpec(n=2, edges=(), sentinel_policy=99))
-        assert space.d(0, 1) == 99
+        assert space.dist[0, 1].item() == 99
 
     def test_parallel_edges_collapse_to_shortest(self):
         space = from_graph(GraphSpec(n=2, edges=((0, 1, 5), (0, 1, 2))))
-        assert space.d(0, 1) == 2
+        assert space.dist[0, 1].item() == 2
 
     def test_fractional_lengths_produce_float_space(self):
         space = from_graph(GraphSpec(n=2, edges=((0, 1, 0.5),)))
         assert not space.integral
-        assert space.d(0, 1) == 0.5
+        assert space.dist[0, 1].item() == 0.5
 
     def test_endpoint_out_of_range_rejected(self):
         with pytest.raises(MetricError):
@@ -123,10 +123,10 @@ class TestFromGraph:
 
         gap = build(GapParams(p=1, ell=2))
         lay = gap.layout
-        d = gap.instance.space.d
-        assert d(lay.left_clients[0], lay.left_reference_reds[0]) == 0
-        assert d(lay.left_clients[0], lay.right_local_blues[0]) == 15
-        assert d(lay.left_clients[0], lay.hub_red) == gap.params.alpha
+        d = gap.instance.space.dist
+        assert d[lay.left_clients[0], lay.left_reference_reds[0]] == 0
+        assert d[lay.left_clients[0], lay.right_local_blues[0]] == 15
+        assert d[lay.left_clients[0], lay.hub_red] == gap.params.alpha
 
 
 @st.composite
@@ -157,7 +157,7 @@ class TestClosureProperties:
         space = from_graph(spec)
         # feed the closed metric back in as a complete graph
         edges = tuple(
-            (i, j, space.rows[i][j])
+            (i, j, space.dist[i, j].item())
             for i in range(space.n)
             for j in range(i + 1, space.n)
         )
@@ -168,7 +168,8 @@ class TestClosureProperties:
 class TestMetricSpaceSurface:
     def test_rows_are_plain_python_scalars(self):
         space = from_matrix([[0, 2], [2, 0]])
-        assert isinstance(space.rows[0][1], int)
+        assert space.dist.dtype == np.int64
+        assert type(space.dist.tolist()[0][1]) is int  # what serialize writes
 
     def test_dist_array_is_read_only(self):
         space = from_matrix([[0, 2], [2, 0]])
@@ -335,7 +336,7 @@ class TestInt64Bounds:
             from_matrix([[0, b, b], [b, 0, b], [b, b, 0]])
         assert exc.value.witness is None
         space = from_matrix([[0, b - 1, b - 1], [b - 1, 0, b - 1], [b - 1, b - 1, 0]])
-        assert space.d(0, 1) == b - 1
+        assert space.dist[0, 1].item() == b - 1
 
     def test_graph_whose_sentinel_would_wrap_rejected(self):
         b = 2**61
@@ -346,13 +347,14 @@ class TestInt64Bounds:
         with pytest.raises(MetricError, match=r"2\^62"):
             from_graph(GraphSpec(n=2, edges=(), sentinel_policy=2**62))
         space = from_graph(GraphSpec(n=4, edges=((0, 1, b), (2, 3, b - 2))))
-        assert space.d(0, 2) == 2**62 - 1
-        assert space.d(0, 1) + space.d(1, 2) == 2**62 + b - 1  # exact in Python ints
+        assert space.dist[0, 2].item() == 2**62 - 1
+        via = space.dist[0, 1].item() + space.dist[1, 2].item()
+        assert via == 2**62 + b - 1  # exact in Python ints
 
     def test_large_float_tables_need_no_bound(self):
         b = 2.0**70
         space = from_matrix([[0.0, b], [b, 0.0]])
-        assert space.d(0, 1) == b
+        assert space.dist[0, 1].item() == b
 
 
 class TestNonFinite:
@@ -380,4 +382,4 @@ class TestNonFinite:
     def test_float_sentinel_makes_a_float_table(self):
         space = from_graph(GraphSpec(n=3, edges=((0, 1, 2),), sentinel_policy=9.5))
         assert not space.integral
-        assert space.rows == [[0.0, 2.0, 9.5], [2.0, 0.0, 9.5], [9.5, 9.5, 0.0]]
+        assert space.dist.tolist() == [[0.0, 2.0, 9.5], [2.0, 0.0, 9.5], [9.5, 9.5, 0.0]]
