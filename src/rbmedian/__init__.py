@@ -9,7 +9,7 @@ ratio is tight.
 """
 
 from .errors import CapExceeded, Error, InputError, InternalInvariantError
-from .metric import GraphSpec, MetricError, MetricSpace, from_graph, from_matrix
+from .metric import MetricError, MetricSpace, from_graph, from_matrix
 from .instance import (
     Assignment,
     FormatError,
@@ -75,7 +75,6 @@ __all__ = [
     "FormatError",
     "GapInstance",
     "GapParams",
-    "GraphSpec",
     "Group",
     "GroupKind",
     "InfeasibleSolutionError",

@@ -144,29 +144,33 @@ def cmd_gengap(args) -> int:
     return EXIT_OK
 
 
+def _typed(value, kinds: tuple, what: str):
+    """value if its type is exactly one of kinds, so a JSON true is not an
+    integer; else an InputError saying it must be `what`."""
+    if type(value) not in kinds:
+        raise InputError(f"{what}, got {value!r}")
+    return value
+
+
 def _experiment_instances(spec: dict):
     """Yield (name, instance) pairs in deterministic order."""
     if "corpus" in spec:
-        root = Path(spec["corpus"])
+        root = Path(_typed(spec["corpus"], (str,), "'corpus' must be a path string"))
         if not root.is_dir():
             raise InputError(f"corpus directory {root} does not exist")
         for path in sorted(root.glob("*.json")):
             yield path.name, parse(path.read_bytes())
     elif "generate" in spec:
-        g = spec["generate"]
+        g = _typed(spec["generate"], (dict,), "'generate' must be an object")
         try:
-            n = int(g.get("count", 1))
-            base_seed = int(g.get("seed", 0))
-            params = dict(
-                n_clients=int(g["n_clients"]),
-                n_red=int(g["n_red"]),
-                n_blue=int(g["n_blue"]),
-                k_r=int(g["k_r"]),
-                k_b=int(g["k_b"]),
-                box_size=float(g.get("box_size", 1.0)),
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            params = {key: g[key] for key in ("n_clients", "n_red", "n_blue", "k_r", "k_b")}
+        except KeyError as e:
             raise InputError(f"bad 'generate' section: {e}") from None
+        n, base_seed = g.get("count", 1), g.get("seed", 0)
+        for key, value in (("count", n), ("seed", base_seed), *params.items()):
+            _typed(value, (int,), f"'generate' {key!r} must be an integer")
+        params["box_size"] = float(_typed(g.get("box_size", 1.0), (int, float),
+                                          "'generate' 'box_size' must be a number"))
         for i in range(n):
             yield f"gen-{base_seed + i}", gen_euclidean(seed=base_seed + i, **params)
     else:
@@ -188,10 +192,13 @@ def run_experiment(spec: dict, out_stream) -> list:
     """
     p_values = spec.get("p_values", [1])
     seeds = spec.get("seeds", [0])
-    epsilon = float(spec.get("epsilon", 0.0))
-    opt_cap = int(spec.get("opt_cap", DEFAULT_CAP))
+    epsilon = float(_typed(spec.get("epsilon", 0.0), (int, float), "'epsilon' must be a number"))
+    opt_cap = _typed(spec.get("opt_cap", DEFAULT_CAP), (int,), "'opt_cap' must be an integer")
     if not isinstance(p_values, list) or not isinstance(seeds, list):
         raise InputError("'p_values' and 'seeds' must be lists")
+    for key, values in (("p_values", p_values), ("seeds", seeds)):
+        for value in values:
+            _typed(value, (int,), f"{key!r} must hold integers")
 
     out_stream.write(f"# schema: {EXPERIMENT_CSV_SCHEMA}\n")
     writer = csv.DictWriter(out_stream, fieldnames=_CSV_FIELDS, lineterminator="\n")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InputError, InternalInvariantError
 from .instance import Instance, Solution, check_feasible, evaluate, nearest
+from .metric import FLOAT_TOL
 
 RED = "red"
 BLUE = "blue"
@@ -52,18 +53,16 @@ class GroupKind(Enum):
 class PhiMap:
     """Nearest-candidate map for a disjoint solution pair.
 
-    phi: reference facility -> nearest candidate facility.
-    deg: candidate facility -> preimage count under phi.
-    cent: candidate facility with deg > 0 -> its nearest preimage.
-    pre: candidate facility -> its preimages, ascending.
+    phi: reference facility -> nearest candidate facility; its keys are
+    the reference facilities, ascending.
+    cent: candidate facility with a preimage -> its nearest preimage.
+    pre: candidate facility -> its preimages, ascending; its keys are the
+    candidate facilities, ascending, and len(pre[i]) is the degree of i.
     """
 
     phi: dict
-    deg: dict
     cent: dict
     pre: dict
-    s_facilities: tuple
-    o_facilities: tuple
 
 
 @dataclass(eq=False)
@@ -110,28 +109,23 @@ def build_phi(inst: Instance, s_sol: Solution, o_sol: Solution) -> PhiMap:
         raise OverlapError(
             f"solutions share facilities {sorted(overlap)}; disjointify the pair first"
         )
-    o_arr = np.asarray(o_fac, dtype=np.intp)
-    anchor, d = nearest(inst.space.dist, o_arr, s_fac)
-    # cent(i) is the first preimage of i in (distance to i, index) order
-    order = np.lexsort((o_arr, d, anchor))
-    heads, first, counts = np.unique(anchor[order], return_index=True, return_counts=True)
+    anchor, _ = nearest(inst.space.dist, o_fac, s_fac)
     phi = dict(zip(o_fac, anchor.tolist()))
-    deg = dict.fromkeys(s_fac, 0)
-    deg.update(zip(heads.tolist(), counts.tolist()))
-    cent = dict(zip(heads.tolist(), o_arr[order[first]].tolist()))
     pre = {i: [] for i in s_fac}
     for o, i in phi.items():  # o ascends, so each list comes out sorted
         pre[i].append(o)
-    return PhiMap(phi=phi, deg=deg, cent=cent, pre=pre,
-                  s_facilities=tuple(s_fac), o_facilities=tuple(o_fac))
+    dist = inst.space.dist
+    # cent(i) is the first preimage of i in (distance to i, index) order
+    cent = {i: min(mine, key=lambda o: (dist[i, o], o)) for i, mine in pre.items() if mine}
+    return PhiMap(phi=phi, cent=cent, pre=pre)
 
 
 def classify(phi: PhiMap, colours: dict) -> dict:
     out = {}
-    for i in phi.s_facilities:
-        if phi.deg[i] == 0:
+    for i, mine in phi.pre.items():
+        if not mine:
             out[i] = FacilityClass.VERY_GOOD
-        elif all(colours[o] != colours[i] for o in phi.pre[i]):
+        elif all(colours[o] != colours[i] for o in mine):
             out[i] = FacilityClass.GOOD
         else:
             out[i] = FacilityClass.BAD
@@ -149,12 +143,13 @@ def make_groups(phi: PhiMap, classes: dict, colours: dict) -> list:
     other, which is the only way a group goes bad.
     """
     pools = {
-        RED: [i for i in phi.s_facilities if phi.deg[i] == 0 and colours[i] == RED],
-        BLUE: [i for i in phi.s_facilities if phi.deg[i] == 0 and colours[i] == BLUE],
+        RED: [i for i, mine in phi.pre.items() if not mine and colours[i] == RED],
+        BLUE: [i for i, mine in phi.pre.items() if not mine and colours[i] == BLUE],
     }
     groups = []
-    for rep in (i for i in phi.s_facilities if phi.deg[i] > 0):
-        mine = phi.pre[rep]
+    for rep, mine in phi.pre.items():
+        if not mine:
+            continue
         need = len(mine) - 1
         rep_col = colours[rep]
         other_col = BLUE if rep_col == RED else RED
@@ -312,8 +307,8 @@ def check_block_properties(blocks: list, phi: PhiMap, classes: dict,
     with all good ones sharing a colour. Globally: blocks partition S u O.
     `classes` is `classify(phi, colours)`.
     """
-    s_set = set(phi.s_facilities)
-    o_set = set(phi.o_facilities)
+    s_set = set(phi.pre)
+    o_set = set(phi.phi)
     violations = []
 
     seen = {}
@@ -357,7 +352,7 @@ def check_block_properties(blocks: list, phi: PhiMap, classes: dict,
                 )
         if blk.leader not in cand:
             violations.append(Violation(where, "leader", f"leader {blk.leader} not a candidate member"))
-        elif phi.deg[blk.leader] == 0:
+        elif not phi.pre[blk.leader]:
             violations.append(Violation(where, "leader", f"leader {blk.leader} has degree 0"))
         good_cols = set()
         for i in cand:
@@ -404,17 +399,17 @@ class BoundsReport:
 
 
 def check_standard_bounds(inst: Instance, s_sol: Solution, o_sol: Solution,
-                          phi: PhiMap, tol: float | None = None) -> BoundsReport:
+                          phi: PhiMap) -> BoundsReport:
     """Per-client reassignment bounds that triangle inequality must force.
 
     With c the candidate distance, c* the reference distance, o the
     client's reference facility: moving the client to phi(o) costs at most
     c + 2c* (anchor bound), and moving it to cent(phi(o)) costs at most
     2c + 3c* (centre bound). Slack is bound minus actual; the maximum over
-    clients is reported per bound, negative slack is a violation.
+    clients is reported per bound. Slack below zero is a violation, or for
+    float tables below -FLOAT_TOL * max(1, c + c*).
     """
-    if tol is None:
-        tol = 0.0 if inst.space.integral else 1e-9
+    tol = 0.0 if inst.space.integral else FLOAT_TOL
     a_s = evaluate(inst, s_sol)
     a_o = evaluate(inst, o_sol)
     # O and S are disjoint, so one table holds phi on O and cent on S.
@@ -475,7 +470,7 @@ class DecompositionReport:
     def to_doc(self) -> dict:
         return {
             "phi": {str(o): i for o, i in sorted(self.phi.phi.items())},
-            "deg": {str(i): d for i, d in sorted(self.phi.deg.items())},
+            "deg": {str(i): len(pre) for i, pre in sorted(self.phi.pre.items())},
             "cent": {str(i): c for i, c in sorted(self.phi.cent.items())},
             "classes": {str(i): cls.value for i, cls in sorted(self.classes.items())},
             "groups": [

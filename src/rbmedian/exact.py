@@ -51,6 +51,12 @@ class LocalOptVerdict:
         return doc
 
 
+def _refuse_over_cap(count: int, what: str, cap: int) -> None:
+    if count > cap:
+        raise CapExceeded(f"{count} {what} exceed the cap of {cap}; "
+                          "raise the cap explicitly to force the scan")
+
+
 def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     """Scan every feasible (R, B) pair; refuse if there are more than cap.
 
@@ -62,11 +68,7 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     n_red = comb(len(inst.red), inst.k_r)
     n_blue = comb(len(inst.blue), inst.k_b)
     pairs = n_red * n_blue
-    if pairs > cap:
-        raise CapExceeded(
-            f"{pairs} candidate solutions exceed the cap of {cap}; "
-            "raise the cap explicitly to force the scan"
-        )
+    _refuse_over_cap(pairs, "candidate solutions", cap)
 
     rows = inst.space.dist[:, np.asarray(inst.clients, dtype=np.intp)]
     fill = np.iinfo(rows.dtype).max if inst.space.integral else np.inf
@@ -100,11 +102,7 @@ def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) 
     """
     check_feasible(inst, sol)
     size = neighborhood_size(inst, p)
-    if size > cap:
-        raise CapExceeded(
-            f"{size} neighborhood moves exceed the cap of {cap}; "
-            "raise the cap explicitly to force the scan"
-        )
+    _refuse_over_cap(size, "neighborhood moves", cap)
     assignment = evaluate(inst, sol)
     found = _scan(inst, assignment, _swap_groups(inst, sol, p), lambda delta: delta < 0)
     if found is None:

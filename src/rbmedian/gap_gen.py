@@ -30,7 +30,7 @@ from itertools import count
 from .errors import CapExceeded, InputError
 from .exact import DEFAULT_CAP, brute_force_opt, is_local_opt
 from .instance import Instance, Solution, evaluate
-from .metric import GraphSpec, from_graph
+from .metric import from_graph
 
 
 class GapParamError(InputError):
@@ -148,7 +148,7 @@ def build(params: GapParams) -> GapInstance:
             edges.append((c, right_local_blues[f], 1))
             edges.append((c, right_reference_blues[t], 1))
 
-    space = from_graph(GraphSpec(n=n, edges=tuple(edges)))
+    space = from_graph(n, edges)
     clients = tuple(range(n_clients))
     red = (hub_red,) + middle_reds + left_reference_reds
     blue = (

@@ -21,13 +21,13 @@ so round-trips are exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import FormatError, InputError
-from .metric import GraphSpec, MetricSpace, from_graph, from_matrix
+from .metric import MetricSpace, from_graph, from_matrix
 
 
 class InstanceError(InputError):
@@ -36,6 +36,11 @@ class InstanceError(InputError):
 
 class InfeasibleSolutionError(InputError):
     """Solution violates the budgets or the colour ground sets."""
+
+
+def _duplicates(ids) -> list:
+    """The ids that occur more than once, ascending."""
+    return sorted(x for x, count in Counter(ids).items() if count > 1)
 
 
 @dataclass(eq=False)
@@ -53,11 +58,9 @@ class Instance:
         self.blue = tuple(sorted(self.blue))
         n = self.space.n
         everything = list(self.clients) + list(self.red) + list(self.blue)
-        if len(set(everything)) != len(everything):
-            seen, dups = set(), set()
-            for x in everything:
-                (dups if x in seen else seen).add(x)
-            raise InstanceError(f"clients/red/blue overlap on {sorted(dups)}")
+        dups = _duplicates(everything)
+        if dups:
+            raise InstanceError(f"clients/red/blue overlap on {dups}")
         if sorted(everything) != list(range(n)):
             raise InstanceError(
                 f"clients/red/blue must cover exactly 0..{n - 1}, got {len(everything)} "
@@ -187,10 +190,9 @@ def disjointify(inst: Instance, s_sol: Solution, o_sol: Solution):
     if not shared:
         return inst, s_sol, o_sol
 
-    n, m = inst.space.n, len(shared)
+    n = inst.space.n
     idx = list(range(n)) + shared  # copy n + t stands where shared[t] does
-    space = MetricSpace(n=n + m, dist=inst.space.dist[np.ix_(idx, idx)],
-                        integral=inst.space.integral)
+    space = MetricSpace(inst.space.dist[np.ix_(idx, idx)])
 
     copy_of = {f: n + t for t, f in enumerate(shared)}
     red = list(inst.red) + [copy_of[f] for f in shared if f in inst.red_set]
@@ -215,14 +217,15 @@ def gen_euclidean(n_clients: int, n_red: int, n_blue: int, k_r: int, k_b: int,
             raise InstanceError(f"{name} must be nonnegative, got {v}")
     if box_size <= 0:
         raise InstanceError(f"box_size must be positive, got {box_size}")
+    if not box_size < np.inf:  # also catches NaN
+        raise InstanceError(f"box_size must be finite, got {box_size}")
     n = n_clients + n_red + n_blue
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, float(box_size), size=(n, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    space = MetricSpace(n=n, dist=dist, integral=False)
     return Instance(
-        space=space,
+        space=MetricSpace(dist),
         clients=tuple(range(n_clients)),
         red=tuple(range(n_clients, n_clients + n_red)),
         blue=tuple(range(n_clients + n_red, n)),
@@ -296,7 +299,7 @@ def parse(data) -> Instance:
                 raise FormatError(f"graph edge must be [u, v, length], got {e!r}")
             if type(e[0]) is not int or type(e[1]) is not int:
                 raise FormatError(f"graph edge endpoints must be integers in {e!r}")
-        space = from_graph(GraphSpec(n=n, edges=tuple(map(tuple, graph["edges"]))))
+        space = from_graph(n, tuple(map(tuple, graph["edges"])))
     else:
         raise FormatError("'metric' must contain either 'matrix' or 'graph'")
 
@@ -320,4 +323,8 @@ def serialize_solution(sol: Solution) -> bytes:
 
 def parse_solution(data) -> Solution:
     doc = _load_object(data, "solution document")
-    return Solution(R=frozenset(_int_list(doc, "R")), B=frozenset(_int_list(doc, "B")))
+    sides = [_int_list(doc, key) for key in ("R", "B")]
+    for key, ids in zip("RB", sides):
+        if _duplicates(ids):
+            raise FormatError(f"{key!r} lists facilities more than once: {_duplicates(ids)}")
+    return Solution(*sides)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Union
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import FormatError, InputError
 # Relative slack for triangle checks on float tables.
 FLOAT_TOL = 1e-9
 
-# Full triangle validation is O(n^3); above this size it only runs on request.
+# Full triangle validation is O(n^3); above this size it is skipped.
 TRIANGLE_CHECK_LIMIT = 512
 
 # Integer entries stay below this, so any two of them add without leaving int64.
@@ -54,31 +53,22 @@ class MetricError(InputError):
 class MetricSpace:
     """Validated symmetric distance table with zero diagonal.
 
-    `dist` is an (n, n) numpy array, int64 when `integral` else float64.
-    Treated as immutable after construction.
+    `dist` is an (n, n) int64 or float64 numpy array; `n` and `integral`
+    are read off it. Treated as immutable after construction.
     """
 
-    n: int
     dist: np.ndarray
-    integral: bool
 
     def __post_init__(self):
         self.dist.flags.writeable = False
 
+    @property
+    def n(self) -> int:
+        return len(self.dist)
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """Undirected weighted graph over n vertices.
-
-    edges: (u, v, length) triples, length >= 0; parallel edges collapse to
-    the shortest. sentinel_policy is "auto" (one plus the sum of all edge
-    lengths, strictly larger than any path) or an explicit numeric value
-    for cross-component distances.
-    """
-
-    n: int
-    edges: tuple
-    sentinel_policy: Union[str, int, float] = "auto"
+    @property
+    def integral(self) -> bool:
+        return self.dist.dtype == np.int64
 
 
 def _decode(rows) -> np.ndarray:
@@ -111,14 +101,14 @@ def _relax(d: np.ndarray, out: np.ndarray) -> None:
         np.minimum(out, d[:, k, None] + d[None, k, :], out=out)
 
 
-def from_matrix(table, tau: float | None = None, check_triangle: bool | None = None) -> MetricSpace:
+def from_matrix(table) -> MetricSpace:
     """Validate a square distance table and wrap it as a MetricSpace.
 
     table is nested rows of ints, floats or decimal strings, or a numpy
-    array. tau is the relative triangle slack; defaults to 0 for integer
-    tables and 1e-9 for float ones. check_triangle=None means "only when
-    n <= TRIANGLE_CHECK_LIMIT"; pass True/False to force either way.
-    Raises MetricError with witnessing indices on the first failure found.
+    array. The triangle inequality is checked only when n <=
+    TRIANGLE_CHECK_LIMIT, with slack 0 for integer tables and FLOAT_TOL
+    for float ones. Raises MetricError with witnessing indices on the
+    first failure found.
     """
     if isinstance(table, np.ndarray):
         arr = _decode(table.tolist()).reshape(table.shape)  # tolist() flattens an empty table
@@ -126,10 +116,7 @@ def from_matrix(table, tau: float | None = None, check_triangle: bool | None = N
         arr = _decode(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MetricError(f"distance table must be square, got shape {arr.shape}")
-    integral = arr.dtype == np.int64
     n = arr.shape[0]
-    if tau is None:
-        tau = 0.0 if integral else FLOAT_TOL
 
     for bad, what in (
         (~np.isfinite(arr), "non-finite distance"),
@@ -144,22 +131,21 @@ def from_matrix(table, tau: float | None = None, check_triangle: bool | None = N
     if len(asym):
         i, j = map(int, asym[0])
         raise MetricError(f"asymmetry at ({i}, {j}): {arr[i, j]} != {arr[j, i]}", witness=(i, j))
-    if integral and arr.max(initial=0) >= INT_LIMIT:
+    if arr.dtype == np.int64 and arr.max(initial=0) >= INT_LIMIT:
         raise MetricError(
             f"integer distance {arr.max()} is not below 2^62: two could overflow int64")
 
-    if check_triangle is None:
-        check_triangle = n <= TRIANGLE_CHECK_LIMIT
-    if check_triangle:
-        _check_triangle(arr, tau)
-
-    return MetricSpace(n=n, dist=arr, integral=integral)
+    if n <= TRIANGLE_CHECK_LIMIT:
+        _check_triangle(arr)
+    return MetricSpace(arr)
 
 
-def _check_triangle(arr: np.ndarray, tau: float) -> None:
+def _check_triangle(arr: np.ndarray) -> None:
     """Reject the first (i, j) in row-major order with d(i, j) above
-    M[i, j] = min_k d(i, k) + d(k, j) plus slack tau * max(1, M); the slack
-    grows with M, so this decides as checking every k would."""
+    M[i, j] = min_k d(i, k) + d(k, j) plus slack tau * max(1, M), where tau
+    is 0 for int64 tables and FLOAT_TOL for float ones; the slack grows
+    with M, so this decides as checking every k would."""
+    tau = 0.0 if arr.dtype == np.int64 else FLOAT_TOL
     via = arr.copy()
     _relax(arr, via)
     allowed = via + tau * np.maximum(1.0, via) if tau else via
@@ -174,45 +160,37 @@ def _check_triangle(arr: np.ndarray, tau: float) -> None:
         )
 
 
-def from_graph(spec: GraphSpec) -> MetricSpace:
-    """Shortest-path closure of a weighted graph.
+def from_graph(n: int, edges) -> MetricSpace:
+    """Shortest-path closure of an undirected weighted graph over n vertices.
 
-    Output satisfies the full metric contract by construction; vertices in
-    different components sit at exactly the sentinel distance, which exceeds
-    every connected shortest path under the "auto" policy. Lengths are
-    decoded as `from_matrix` entries are.
+    edges are (u, v, length) triples, length >= 0, decoded as `from_matrix`
+    entries are; parallel edges collapse to the shortest. Vertices in
+    different components sit at the sentinel distance, one plus the sum of
+    all edge lengths, which exceeds every connected shortest path.
     """
-    n = spec.n
     if n < 0:
         raise MetricError(f"vertex count must be nonnegative, got {n}")
-    for e in spec.edges:
+    for e in edges:
         if len(e) != 3:
             raise MetricError(f"edge must be (u, v, length), got {e!r}")
         if not (0 <= e[0] < n and 0 <= e[1] < n):
             raise MetricError(f"edge endpoint out of range in {e!r}")
-    policy = spec.sentinel_policy
-    auto = policy == "auto"
-    if not auto and type(policy) not in (int, float):
-        raise MetricError(f"sentinel_policy must be 'auto' or a number, got {policy!r}")
 
-    # An explicit sentinel is decoded with the lengths: a float one makes the table float.
-    weights = _decode([[e[2] for e in spec.edges] + [0 if auto else policy]])[0]
-    lengths = weights[:-1]
+    lengths = _decode([[e[2] for e in edges]])[0]
     for bad, what in ((~np.isfinite(lengths), "non-finite"), (lengths < 0, "negative")):
         if bad.any():
-            raise MetricError(f"{what} edge length in {spec.edges[int(bad.argmax())]!r}")
-    integral = weights.dtype == np.int64
-    # summed left to right, exactly for integers
-    sentinel = 1 + reduce(add, lengths.tolist(), 0) if auto else weights[-1].item()
-    if not 0 <= sentinel < (INT_LIMIT if integral else math.inf):
+            raise MetricError(f"{what} edge length in {edges[int(bad.argmax())]!r}")
+    integral = lengths.dtype == np.int64
+    sentinel = 1 + reduce(add, lengths.tolist(), 0)  # summed left to right, exactly for integers
+    if not sentinel < (INT_LIMIT if integral else math.inf):
         raise MetricError(f"sentinel distance {sentinel} must be nonnegative and below "
                           + ("2^62 in an integer table" if integral else "infinity"))
 
-    dist = np.full((n, n), sentinel, dtype=weights.dtype)
-    u, v = np.array([e[:2] for e in spec.edges], dtype=np.intp).reshape(-1, 2).T
+    dist = np.full((n, n), sentinel, dtype=lengths.dtype)
+    u, v = np.array([e[:2] for e in edges], dtype=np.intp).reshape(-1, 2).T
     np.minimum.at(dist, (u, v), lengths)
     np.minimum.at(dist, (v, u), lengths)
     np.fill_diagonal(dist, 0)
     # Every entry is at most the sentinel, below 2^62 for integers, so no sum leaves int64.
     _relax(dist, dist)
-    return MetricSpace(n=n, dist=dist, integral=integral)
+    return MetricSpace(dist)

@@ -33,7 +33,7 @@ def grid_instance(rng: random.Random, n_clients: int, n_red: int, n_blue: int,
         dtype=np.int64,
     )
     return Instance(
-        space=MetricSpace(n=n, dist=dist, integral=True),
+        space=MetricSpace(dist),
         clients=tuple(range(n_clients)),
         red=tuple(range(n_clients, n_clients + n_red)),
         blue=tuple(range(n_clients + n_red, n)),
@@ -72,7 +72,7 @@ def line_instance(positions_clients, positions_red, positions_blue, k_r, k_b) ->
     dist = np.array([[abs(a - b) for b in coords] for a in coords], dtype=np.int64)
     nc, nr = len(positions_clients), len(positions_red)
     return Instance(
-        space=MetricSpace(n=n, dist=dist, integral=True),
+        space=MetricSpace(dist),
         clients=tuple(range(nc)),
         red=tuple(range(nc, nc + nr)),
         blue=tuple(range(nc + nr, n)),

@@ -380,3 +380,29 @@ class TestExperiment:
         path = tmp_path / "spec.json"
         path.write_text("{not json")
         assert main(["experiment", "--spec", str(path)]) == EXIT_INPUT_ERROR
+
+    GENERATE = {"n_clients": 4, "n_red": 2, "n_blue": 2, "k_r": 1, "k_b": 1}
+
+    @pytest.mark.parametrize("body", [
+        {"epsilon": "abc"},
+        {"opt_cap": None},
+        {"opt_cap": 1e8},
+        {"p_values": ["1"]},
+        {"p_values": [True]},
+        {"seeds": [[1]]},
+        {"corpus": 5},
+        {"generate": 5},
+        {"generate": {**GENERATE, "n_red": "2"}},
+        {"generate": {**GENERATE, "count": True}},
+        {"generate": {**GENERATE, "box_size": "nan"}},
+        {"generate": {**GENERATE, "box_size": float("nan")}},
+        {"generate": {**GENERATE, "box_size": float("inf")}},
+    ], ids=["epsilon-string", "opt_cap-null", "opt_cap-float", "p-string", "p-bool",
+            "seed-list", "corpus-number", "generate-number", "n_red-string", "count-bool",
+            "box-string", "box-nan", "box-inf"])
+    def test_mistyped_spec_field_is_an_input_error(self, tmp_path, capsys, body):
+        # a corpus, when given, is read in place of the generator
+        spec = self.make_spec(tmp_path, {"generate": self.GENERATE, **body})
+        assert main(["experiment", "--spec", spec]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -41,24 +41,14 @@ def disjoint_pair(rng, inst):
 
 
 def manual_phi(phi, colours):
-    """PhiMap from an explicit mapping; degrees derived, centres by index.
+    """PhiMap from an explicit mapping; preimages derived, centres by index.
 
     Only for fixtures that never touch the distance-based centre bound.
     """
     s_fac = sorted(set(colours) - set(phi))
-    deg = {i: 0 for i in s_fac}
-    for tgt in phi.values():
-        deg[tgt] += 1
     pre = {i: sorted(o for o, t in phi.items() if t == i) for i in s_fac}
-    cent = {i: pre[i][0] for i in s_fac if deg[i]}
-    return PhiMap(
-        phi=dict(phi),
-        deg=deg,
-        cent=cent,
-        pre=pre,
-        s_facilities=tuple(s_fac),
-        o_facilities=tuple(sorted(phi)),
-    )
+    cent = {i: pre[i][0] for i in s_fac if pre[i]}
+    return PhiMap(phi=dict(sorted(phi.items())), cent=cent, pre=pre)
 
 
 class TestBuildPhi:
@@ -75,7 +65,7 @@ class TestBuildPhi:
         o = Solution(R={2, 4}, B={6})
         phi = build_phi(inst, s, o)
         assert phi.phi == {2: 1, 4: 3, 6: 5}
-        assert phi.deg == {1: 1, 3: 1, 5: 1}
+        assert phi.pre == {1: [2], 3: [4], 5: [6]}
         assert phi.cent == {1: 2, 3: 4, 5: 6}
 
     def test_star_preimage_and_nearest_centre(self):
@@ -85,7 +75,7 @@ class TestBuildPhi:
         o = Solution(R={2, 3, 4}, B=set())
         phi = build_phi(inst, s, o)
         assert phi.phi == {2: 1, 3: 1, 4: 1}
-        assert phi.deg == {1: 3, 5: 0, 6: 0}
+        assert phi.pre == {1: [2, 3, 4], 5: [], 6: []}
         assert phi.cent == {1: 3}  # distance 1 beats 3 and 6
 
     def test_ties_break_to_lowest_candidate_index(self):
@@ -102,12 +92,13 @@ class TestBuildPhi:
             inst, s, o = disjoint_pair(rng, random_sized_grid(rng))
             phi = build_phi(inst, s, o)
             s_fac = sorted(s.facilities())
+            assert list(phi.pre) == s_fac and list(phi.phi) == sorted(o.facilities())
             for of in sorted(o.facilities()):
                 best = min(s_fac, key=lambda i: (inst.space.dist[of, i].item(), i))
                 assert phi.phi[of] == best
             for i in s_fac:
                 pre = [of for of in sorted(o.facilities()) if phi.phi[of] == i]
-                assert phi.deg[i] == len(pre)
+                assert phi.pre[i] == pre
                 if pre:
                     assert phi.cent[i] == min(pre, key=lambda of: (inst.space.dist[i, of].item(), of))
                 else:
@@ -269,7 +260,7 @@ class TestMakeBlocks:
         s = Solution(R={1, 2, 3}, B={7, 8})
         o = Solution(R={4, 5, 6}, B={9, 10})
         phi = build_phi(inst, s, o)
-        assert phi.deg == {1: 3, 2: 0, 3: 0, 7: 1, 8: 1}
+        assert phi.pre == {1: [4, 9, 10], 2: [], 3: [], 7: [5], 8: [6]}
         colours = colour_map(inst)
         classes = classify(phi, colours)
         groups = make_groups(phi, classes, colours)
@@ -317,7 +308,7 @@ class TestCheckBlockProperties:
         inst, s, o = disjoint_pair(rng, grid_instance(rng, 5, 5, 5, 2, 2))
         report = decompose(inst, s, o)
         donor = next(b for b in report.blocks if len(b.members) > 1)
-        victim = sorted(donor.members & set(report.phi.o_facilities))[0]
+        victim = sorted(donor.members & set(report.phi.phi))[0]
         mutated = [
             Block(groups=b.groups, leader=b.leader, members=b.members - {victim})
             if b is donor
@@ -364,7 +355,7 @@ class TestStandardBounds:
                  [50, 10, 1, 1, 0, 1],
                  [9, 1, 7, 2, 1, 0]]
         integral = dtype is np.int64
-        inst = Instance(MetricSpace(6, np.array(table, dtype=dtype), integral),
+        inst = Instance(MetricSpace(np.array(table, dtype=dtype)),
                         clients=(0, 5), red=(1, 2), blue=(3, 4), k_r=1, k_b=1)
         s, o = Solution(R={1}, B={3}), Solution(R={2}, B={4})
         doc = check_standard_bounds(inst, s, o, build_phi(inst, s, o)).to_doc()
@@ -381,7 +372,7 @@ class TestStandardBounds:
     def test_integer_slack_is_exact_past_int64(self):
         big = 2**62
         dist = np.array([[0, big, big], [big, 0, 0], [big, 0, 0]], dtype=np.int64)
-        inst = Instance(MetricSpace(3, dist, True), clients=(0,), red=(1, 2), blue=(),
+        inst = Instance(MetricSpace(dist), clients=(0,), red=(1, 2), blue=(),
                         k_r=1, k_b=0)
         s, o = Solution(R={1}, B=set()), Solution(R={2}, B=set())
         rep = check_standard_bounds(inst, s, o, build_phi(inst, s, o))

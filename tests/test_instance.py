@@ -49,7 +49,7 @@ def shuffled_roles(rng, inst):
     rng.shuffle(perm)  # old id i becomes perm[i]
     inv = np.argsort(perm)
     dist = inst.space.dist[np.ix_(inv, inv)]
-    return Instance(MetricSpace(inst.space.n, dist, inst.space.integral),
+    return Instance(MetricSpace(dist),
                     clients=tuple(perm[j] for j in inst.clients),
                     red=tuple(perm[f] for f in inst.red),
                     blue=tuple(perm[f] for f in inst.blue), k_r=inst.k_r, k_b=inst.k_b)
@@ -68,12 +68,12 @@ def check_against_scalar(inst, sol):
 
 class TestInstanceValidation:
     def test_overlapping_roles_rejected(self):
-        space = MetricSpace(2, np.zeros((2, 2), dtype=np.int64), True)
+        space = MetricSpace(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(InstanceError):
             Instance(space, clients=(0,), red=(0, 1), blue=(), k_r=1, k_b=0)
 
     def test_partition_must_cover_range(self):
-        space = MetricSpace(3, np.zeros((3, 3), dtype=np.int64), True)
+        space = MetricSpace(np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(InstanceError):
             Instance(space, clients=(0,), red=(2,), blue=(), k_r=1, k_b=0)
 
@@ -82,20 +82,20 @@ class TestInstanceValidation:
         n = 6
         dist = np.full((n, n), 2**61, dtype=np.int64)
         np.fill_diagonal(dist, 0)
-        space = MetricSpace(n, dist, True)
+        space = MetricSpace(dist)
         with pytest.raises(InstanceError, match=r"2\^63"):
             Instance(space, clients=(0, 1, 2, 3), red=(4,), blue=(5,), k_r=1, k_b=1)
         # one client fewer stays below the bound
         Instance(space, clients=(0, 1, 2), red=(3, 4), blue=(5,), k_r=1, k_b=1)
 
     def test_budget_over_pool_rejected(self):
-        space = MetricSpace(2, np.zeros((2, 2), dtype=np.int64), True)
+        space = MetricSpace(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(InstanceError) as exc:
             Instance(space, clients=(0,), red=(1,), blue=(), k_r=2, k_b=0)
         assert "k_r" in str(exc.value)
 
     def test_zero_total_budget_rejected(self):
-        space = MetricSpace(2, np.zeros((2, 2), dtype=np.int64), True)
+        space = MetricSpace(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(InstanceError):
             Instance(space, clients=(0,), red=(1,), blue=(), k_r=0, k_b=0)
 
@@ -246,6 +246,11 @@ class TestGenerator:
         with pytest.raises(InstanceError):
             gen_euclidean(5, 2, 2, 3, 0, seed=0)
 
+    @pytest.mark.parametrize("box_size", [0, -1.0, float("inf"), float("nan")])
+    def test_box_size_outside_zero_to_infinity_rejected(self, box_size):
+        with pytest.raises(InstanceError, match="box_size"):
+            gen_euclidean(5, 2, 2, 1, 1, box_size=box_size, seed=0)
+
 
 class TestSerialization:
     def test_round_trip_integer(self):
@@ -344,6 +349,12 @@ class TestSerialization:
     def test_solution_bad_document(self):
         with pytest.raises(FormatError):
             parse_solution(b'{"R": [1]}')
+
+    @pytest.mark.parametrize("doc", [b'{"R": [2, 2], "B": [4]}', b'{"R": [2], "B": [4, 5, 4]}'],
+                             ids=["repeated-R", "repeated-B"])
+    def test_solution_with_duplicate_ids_rejected(self, doc):
+        with pytest.raises(FormatError, match="more than once"):
+            parse_solution(doc)
 
 
 class TestRoundTripProperty:

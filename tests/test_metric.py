@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import grid_instance
 from oracle import reference_decode, reference_triangle, violating_pairs
+from rbmedian import metric
 from rbmedian.instance import FormatError, gen_euclidean, serialize
 from rbmedian.metric import (
     FLOAT_TOL,
-    GraphSpec,
     MetricError,
+    MetricSpace,
     _decode,
     from_graph,
     from_matrix,
@@ -65,56 +66,54 @@ class TestFromMatrix:
         with pytest.raises(MetricError):
             from_matrix([[0, 1]])
 
-    def test_triangle_check_can_be_skipped(self):
+    def test_triangle_check_runs_up_to_the_size_limit(self, monkeypatch):
+        monkeypatch.setattr(metric, "TRIANGLE_CHECK_LIMIT", 3)
         bad = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
-        space = from_matrix(bad, check_triangle=False)
-        assert space.dist[0, 2].item() == 3
+        with pytest.raises(MetricError, match="triangle violation"):
+            from_matrix(bad)
+        space = from_matrix([row + [2] for row in bad] + [[2, 2, 2, 0]])
+        assert space.n == 4 and space.dist[0, 2].item() == 3
 
     def test_float_tolerance_accepts_tiny_violations(self):
-        eps = 1e-13
-        table = [[0.0, 1.0, 2.0 + eps], [1.0, 0.0, 1.0], [2.0 + eps, 1.0, 0.0]]
-        space = from_matrix(table)
-        assert not space.integral
+        def table(eps):
+            return [[0.0, 1.0, 2.0 + eps], [1.0, 0.0, 1.0], [2.0 + eps, 1.0, 0.0]]
+        assert not from_matrix(table(1e-13)).integral
         with pytest.raises(MetricError):
-            from_matrix(table, tau=0.0)
+            from_matrix(table(1e-6))
 
 
 class TestFromGraph:
     def test_path_graph_closure(self):
-        space = from_graph(GraphSpec(n=3, edges=((0, 1, 1), (1, 2, 1))))
+        space = from_graph(3, ((0, 1, 1), (1, 2, 1)))
         assert space.dist[0, 2].item() == 2
         assert space.integral
 
     def test_disconnected_pair_gets_sentinel(self):
         # no edges at all: sentinel is 1 + 0
-        space = from_graph(GraphSpec(n=2, edges=()))
+        space = from_graph(2, ())
         assert space.dist[0, 1].item() == 1
 
     def test_sentinel_exceeds_every_edge_sum(self):
-        space = from_graph(GraphSpec(n=4, edges=((0, 1, 3), (1, 2, 4))))
+        space = from_graph(4, ((0, 1, 3), (1, 2, 4)))
         assert space.dist[0, 3].item() == 1 + 3 + 4
         assert space.dist[0, 2].item() == 7
 
-    def test_explicit_sentinel_value(self):
-        space = from_graph(GraphSpec(n=2, edges=(), sentinel_policy=99))
-        assert space.dist[0, 1].item() == 99
-
     def test_parallel_edges_collapse_to_shortest(self):
-        space = from_graph(GraphSpec(n=2, edges=((0, 1, 5), (0, 1, 2))))
+        space = from_graph(2, ((0, 1, 5), (0, 1, 2)))
         assert space.dist[0, 1].item() == 2
 
     def test_fractional_lengths_produce_float_space(self):
-        space = from_graph(GraphSpec(n=2, edges=((0, 1, 0.5),)))
+        space = from_graph(2, ((0, 1, 0.5),))
         assert not space.integral
         assert space.dist[0, 1].item() == 0.5
 
     def test_endpoint_out_of_range_rejected(self):
         with pytest.raises(MetricError):
-            from_graph(GraphSpec(n=2, edges=((0, 2, 1),)))
+            from_graph(2, ((0, 2, 1),))
 
     def test_negative_length_rejected(self):
         with pytest.raises(MetricError):
-            from_graph(GraphSpec(n=2, edges=((0, 1, -1),)))
+            from_graph(2, ((0, 1, -1),))
 
     def test_gap_graph_distances(self):
         # smallest member of the worst-case family: co-located pairs at 0,
@@ -139,29 +138,29 @@ def graphs(draw):
         v = draw(st.integers(min_value=0, max_value=n - 1))
         w = draw(st.integers(min_value=0, max_value=30))
         edges.append((u, v, w))
-    return GraphSpec(n=n, edges=tuple(edges))
+    return n, tuple(edges)
 
 
 class TestClosureProperties:
     @given(graphs())
     @settings(max_examples=150, deadline=None)
-    def test_graph_closure_is_a_valid_metric(self, spec):
-        space = from_graph(spec)
-        # exact revalidation: symmetry, zero diagonal, triangle with tau=0
-        revalidated = from_matrix(space.dist, tau=0.0, check_triangle=True)
+    def test_graph_closure_is_a_valid_metric(self, graph):
+        space = from_graph(*graph)
+        # exact revalidation: symmetry, zero diagonal, triangle with no slack
+        revalidated = from_matrix(space.dist)
         assert np.array_equal(revalidated.dist, space.dist)
 
     @given(graphs())
     @settings(max_examples=100, deadline=None)
-    def test_closure_is_idempotent(self, spec):
-        space = from_graph(spec)
+    def test_closure_is_idempotent(self, graph):
+        space = from_graph(*graph)
         # feed the closed metric back in as a complete graph
         edges = tuple(
             (i, j, space.dist[i, j].item())
             for i in range(space.n)
             for j in range(i + 1, space.n)
         )
-        again = from_graph(GraphSpec(n=space.n, edges=edges, sentinel_policy="auto"))
+        again = from_graph(space.n, edges)
         assert np.array_equal(again.dist, space.dist)
 
 
@@ -170,6 +169,12 @@ class TestMetricSpaceSurface:
         space = from_matrix([[0, 2], [2, 0]])
         assert space.dist.dtype == np.int64
         assert type(space.dist.tolist()[0][1]) is int  # what serialize writes
+
+    def test_size_and_kind_are_read_off_the_table(self):
+        floats = MetricSpace(np.zeros((3, 3)))
+        assert floats.n == 3 and not floats.integral
+        ints = MetricSpace(np.zeros((2, 2), dtype=np.int64))
+        assert ints.n == 2 and ints.integral
 
     def test_dist_array_is_read_only(self):
         space = from_matrix([[0, 2], [2, 0]])
@@ -264,16 +269,22 @@ def perturbed(rng, dist, tau, cross):
     return d
 
 
-def check_witness(arr, tau):
+def slack(arr):
+    """The relative triangle slack from_matrix allows a table of arr's type."""
+    return 0.0 if arr.dtype == np.int64 else FLOAT_TOL
+
+
+def check_witness(arr):
     """from_matrix decides as the k-major reference does, and its witness
     is a real violation at the lowest violating (i, j), via the lowest k
     attaining min_k d(i, k) + d(k, j)."""
+    tau = slack(arr)
     expected = reference_triangle(arr, tau)
     if expected is None:
-        from_matrix(arr, tau=tau, check_triangle=True)
+        from_matrix(arr)
         return False
     with pytest.raises(MetricError) as exc:
-        from_matrix(arr, tau=tau, check_triangle=True)
+        from_matrix(arr)
     i, k, j = exc.value.witness
     via = arr[i, k] + arr[k, j]
     assert arr[i, j] > (via + tau * max(1.0, via) if tau else via)
@@ -293,11 +304,10 @@ class TestTriangleOracle:
             dist = inst.space.dist.astype(np.float64 if floats else np.int64)
             if t % 3 == 0 and floats:
                 dist = gen_euclidean(rng.randint(2, 12), 1, 1, 1, 1, box_size=50.0, seed=t).space.dist
-            for tau in (0.0, FLOAT_TOL) if floats else (0.0,):
-                for cross in (False, True):
-                    hit = check_witness(perturbed(rng, dist, tau, cross), tau)
-                    rejected += hit
-                    accepted += not hit
+            for cross in (False, True):
+                hit = check_witness(perturbed(rng, dist, slack(dist), cross))
+                rejected += hit
+                accepted += not hit
         assert rejected > 100 and accepted > 100
 
     def test_tables_with_many_violations(self):
@@ -308,8 +318,7 @@ class TestTriangleOracle:
             for i in range(n):
                 for j in range(i + 1, n):
                     d[i, j] = d[j, i] = rng.randint(1, 40) if t % 2 else rng.uniform(1, 40)
-            for tau in (0.0, FLOAT_TOL):
-                check_witness(d, tau)
+            check_witness(d)
 
     @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -325,8 +334,7 @@ class TestTriangleOracle:
         if floats:
             d = d * rng.uniform(0.5, 2.0)
             d = np.triu(d, 1) + np.triu(d, 1).T
-        for tau in (0.0, FLOAT_TOL):
-            check_witness(d, tau)
+        check_witness(d)
 
 
 class TestInt64Bounds:
@@ -341,12 +349,10 @@ class TestInt64Bounds:
     def test_graph_whose_sentinel_would_wrap_rejected(self):
         b = 2**61
         with pytest.raises(MetricError, match=r"2\^62"):
-            from_graph(GraphSpec(n=4, edges=((0, 1, b), (2, 3, b))))
+            from_graph(4, ((0, 1, b), (2, 3, b)))
         with pytest.raises(MetricError, match=r"2\^62"):
-            from_graph(GraphSpec(n=3, edges=((0, 1, 2**62), (1, 2, 2**62))))
-        with pytest.raises(MetricError, match=r"2\^62"):
-            from_graph(GraphSpec(n=2, edges=(), sentinel_policy=2**62))
-        space = from_graph(GraphSpec(n=4, edges=((0, 1, b), (2, 3, b - 2))))
+            from_graph(3, ((0, 1, 2**62), (1, 2, 2**62)))
+        space = from_graph(4, ((0, 1, b), (2, 3, b - 2)))
         assert space.dist[0, 2].item() == 2**62 - 1
         via = space.dist[0, 1].item() + space.dist[1, 2].item()
         assert via == 2**62 + b - 1  # exact in Python ints
@@ -367,19 +373,9 @@ class TestNonFinite:
     @pytest.mark.parametrize("length", [float("inf"), float("nan"), "inf", "nan", "-inf"])
     def test_graph_lengths_rejected(self, length):
         with pytest.raises(MetricError, match="non-finite edge length") as exc:
-            from_graph(GraphSpec(n=3, edges=((0, 1, 1), (1, 2, length))))
+            from_graph(3, ((0, 1, 1), (1, 2, length)))
         assert "(1, 2, " in str(exc.value)
 
     def test_graph_whose_sentinel_sums_past_float_range_rejected(self):
         with pytest.raises(MetricError, match="infinity"):
-            from_graph(GraphSpec(n=3, edges=((0, 1, 1e308), (1, 2, 1e308))))
-
-    @pytest.mark.parametrize("sentinel", [float("inf"), float("nan"), -1, True, "7"])
-    def test_bad_explicit_sentinel_rejected(self, sentinel):
-        with pytest.raises(MetricError, match="sentinel"):
-            from_graph(GraphSpec(n=2, edges=(), sentinel_policy=sentinel))
-
-    def test_float_sentinel_makes_a_float_table(self):
-        space = from_graph(GraphSpec(n=3, edges=((0, 1, 2),), sentinel_policy=9.5))
-        assert not space.integral
-        assert space.dist.tolist() == [[0.0, 2.0, 9.5], [2.0, 0.0, 9.5], [9.5, 9.5, 0.0]]
+            from_graph(3, ((0, 1, 1e308), (1, 2, 1e308)))
