@@ -27,15 +27,12 @@ from .instance import (
     serialize_solution,
 )
 from .local_search import (
-    InvalidMoveError,
     SearchConfig,
     SearchResult,
     SwapMove,
     apply_move,
-    delta_cost,
     neighborhood_size,
     run,
-    validate_move,
 )
 from .exact import DEFAULT_CAP, LocalOptVerdict, OptResult, brute_force_opt, is_local_opt
 from .decomposition import (
@@ -82,7 +79,6 @@ __all__ = [
     "Instance",
     "InstanceError",
     "InternalInvariantError",
-    "InvalidMoveError",
     "LocalOptVerdict",
     "MetricError",
     "MetricSpace",
@@ -103,7 +99,6 @@ __all__ = [
     "classify",
     "colour_map",
     "decompose",
-    "delta_cost",
     "disjointify",
     "evaluate",
     "expected_costs",
@@ -120,6 +115,5 @@ __all__ = [
     "run",
     "serialize",
     "serialize_solution",
-    "validate_move",
     "verify",
 ]

@@ -152,6 +152,14 @@ def _typed(value, kinds: tuple, what: str):
     return value
 
 
+def _float(value, what: str) -> float:
+    """value as a float if it is a JSON number that fits one, else an InputError."""
+    try:
+        return float(_typed(value, (int, float), f"{what} must be a number"))
+    except OverflowError:
+        raise InputError(f"{what} is too large for a float") from None
+
+
 def _experiment_instances(spec: dict):
     """Yield (name, instance) pairs in deterministic order."""
     if "corpus" in spec:
@@ -169,8 +177,7 @@ def _experiment_instances(spec: dict):
         n, base_seed = g.get("count", 1), g.get("seed", 0)
         for key, value in (("count", n), ("seed", base_seed), *params.items()):
             _typed(value, (int,), f"'generate' {key!r} must be an integer")
-        params["box_size"] = float(_typed(g.get("box_size", 1.0), (int, float),
-                                          "'generate' 'box_size' must be a number"))
+        params["box_size"] = _float(g.get("box_size", 1.0), "'generate' 'box_size'")
         for i in range(n):
             yield f"gen-{base_seed + i}", gen_euclidean(seed=base_seed + i, **params)
     else:
@@ -192,7 +199,7 @@ def run_experiment(spec: dict, out_stream) -> list:
     """
     p_values = spec.get("p_values", [1])
     seeds = spec.get("seeds", [0])
-    epsilon = float(_typed(spec.get("epsilon", 0.0), (int, float), "'epsilon' must be a number"))
+    epsilon = _float(spec.get("epsilon", 0.0), "'epsilon'")
     opt_cap = _typed(spec.get("opt_cap", DEFAULT_CAP), (int,), "'opt_cap' must be an integer")
     if not isinstance(p_values, list) or not isinstance(seeds, list):
         raise InputError("'p_values' and 'seeds' must be lists")

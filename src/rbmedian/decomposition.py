@@ -453,9 +453,6 @@ def check_standard_bounds(inst: Instance, s_sol: Solution, o_sol: Solution,
 
 @dataclass
 class DecompositionReport:
-    instance: Instance
-    s_sol: Solution
-    o_sol: Solution
     phi: PhiMap
     classes: dict
     groups: list
@@ -510,9 +507,6 @@ def decompose(inst: Instance, s_sol: Solution, o_sol: Solution) -> Decomposition
     block_report = check_block_properties(blocks, phi, classes, colours)
     bounds_report = check_standard_bounds(inst, s_sol, o_sol, phi)
     return DecompositionReport(
-        instance=inst,
-        s_sol=s_sol,
-        o_sol=o_sol,
         phi=phi,
         classes=classes,
         groups=groups,

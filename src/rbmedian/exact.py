@@ -17,8 +17,9 @@ from math import comb
 import numpy as np
 
 from .errors import CapExceeded
-from .instance import Instance, Solution, check_feasible, evaluate
-from .local_search import _BATCH, SwapMove, _scan, _subset_minima, _swap_groups, neighborhood_size
+from .instance import Instance, Solution, evaluate
+from .local_search import (_BATCH, ConfigError, SwapMove, _scan, _subset_minima, _swap_groups,
+                           neighborhood_size)
 
 DEFAULT_CAP = 10**8
 
@@ -100,10 +101,11 @@ def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) 
     p >= max(k_r, k_b) the neighborhood reaches every feasible solution,
     so the verdict coincides with global optimality.
     """
-    check_feasible(inst, sol)
+    assignment = evaluate(inst, sol)
+    if p < 1:
+        raise ConfigError(f"p must be >= 1, got {p}")
     size = neighborhood_size(inst, p)
     _refuse_over_cap(size, "neighborhood moves", cap)
-    assignment = evaluate(inst, sol)
     found = _scan(inst, assignment, _swap_groups(inst, sol, p), lambda delta: delta < 0)
     if found is None:
         return LocalOptVerdict(True, None, None, size)

@@ -21,6 +21,7 @@ so round-trips are exact.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -88,19 +89,6 @@ class Instance:
     @property
     def blue_set(self) -> frozenset:
         return frozenset(self.blue)
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.clients == other.clients
-            and self.red == other.red
-            and self.blue == other.blue
-            and self.k_r == other.k_r
-            and self.k_b == other.k_b
-            and self.space.integral == other.space.integral
-            and np.array_equal(self.space.dist, other.space.dist)
-        )
 
 
 @dataclass(frozen=True)
@@ -219,6 +207,10 @@ def gen_euclidean(n_clients: int, n_red: int, n_blue: int, k_r: int, k_b: int,
         raise InstanceError(f"box_size must be positive, got {box_size}")
     if not box_size < np.inf:  # also catches NaN
         raise InstanceError(f"box_size must be finite, got {box_size}")
+    top = math.sqrt(np.finfo(np.float64).max / 2)  # the squared diagonal 2 * top**2 is finite
+    if box_size > top:
+        raise InstanceError(f"box_size must be at most {top!r}, so that squared "
+                            f"distances stay finite, got {box_size}")
     n = n_clients + n_red + n_blue
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, float(box_size), size=(n, 2))

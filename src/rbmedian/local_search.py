@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InputError
-from .instance import Assignment, Instance, Solution, check_feasible, evaluate
+from .instance import Assignment, Instance, Solution, evaluate
 
 TERMINATION_LOCAL_OPT = "local-optimum"
 TERMINATION_ITERATION_CAP = "iteration-cap"
@@ -45,32 +45,21 @@ TERMINATION_ITERATION_CAP = "iteration-cap"
 _BATCH = 2048
 
 
-class InvalidMoveError(InputError):
-    """Move is malformed relative to a solution (sizes, membership, overlap)."""
-
-
 class ConfigError(InputError):
     """Search configuration out of range."""
 
 
-# SwapMove's fields, in order. Named here rather than read through
-# dataclasses.fields, which costs more than the rest of the constructor.
-_SIDES = ("close_red", "open_red", "close_blue", "open_blue")
-
-
 @dataclass(frozen=True)
 class SwapMove:
+    """A move; each side is an ascending id tuple, as `_swap_groups` builds it."""
+
     close_red: tuple = ()
     open_red: tuple = ()
     close_blue: tuple = ()
     open_blue: tuple = ()
 
-    def __post_init__(self):
-        for side in _SIDES:
-            object.__setattr__(self, side, tuple(sorted(getattr(self, side))))
-
     def to_doc(self) -> dict:
-        return {side: list(getattr(self, side)) for side in _SIDES}
+        return {side: list(ids) for side, ids in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -110,28 +99,6 @@ class SearchResult:
         }
 
 
-def validate_move(inst: Instance, sol: Solution, move: SwapMove) -> None:
-    for label, close, open_, pool, current in (
-        ("red", move.close_red, move.open_red, inst.red_set, sol.R),
-        ("blue", move.close_blue, move.open_blue, inst.blue_set, sol.B),
-    ):
-        if len(close) != len(open_):
-            raise InvalidMoveError(
-                f"{label} swap must close and open equally many: {len(close)} vs {len(open_)}"
-            )
-        if len(set(close)) != len(close) or len(set(open_)) != len(open_):
-            raise InvalidMoveError(f"{label} swap lists contain duplicates")
-        stray = set(close) - current
-        if stray:
-            raise InvalidMoveError(f"cannot close {label} facilities not open: {sorted(stray)}")
-        stray = set(open_) - pool
-        if stray:
-            raise InvalidMoveError(f"cannot open non-{label} locations: {sorted(stray)}")
-        clash = set(open_) & current
-        if clash:
-            raise InvalidMoveError(f"cannot open already-open {label} facilities: {sorted(clash)}")
-
-
 def apply_move(sol: Solution, move: SwapMove) -> Solution:
     return Solution(
         R=(sol.R - frozenset(move.close_red)) | frozenset(move.open_red),
@@ -144,11 +111,8 @@ def _swap_groups(inst: Instance, sol: Solution, p: int):
 
     One group per swap size (a, b); its moves are the product of the four
     lists in that order, which is the canonical order. Each close_red
-    starts one block.
+    starts one block. `sol` is taken as feasible: callers have evaluated it.
     """
-    if p < 1:
-        raise ConfigError(f"p must be >= 1, got {p}")
-    check_feasible(inst, sol)
     r_open = sorted(sol.R)
     r_pool = sorted(inst.red_set - sol.R)
     b_open = sorted(sol.B)
@@ -233,16 +197,6 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
     return best
 
 
-def delta_cost(inst: Instance, assignment: Assignment, move: SwapMove):
-    """Exact cost change of applying `move` to the assignment's solution.
-
-    Always equals evaluate(apply_move(...)).total - assignment.total.
-    """
-    validate_move(inst, assignment.solution, move)
-    group = ([move.close_red], [move.open_red], [move.close_blue], [move.open_blue])
-    return _scan(inst, assignment, [group])[2]
-
-
 def _random_solution(inst: Instance, seed: int) -> Solution:
     rng = random.Random(seed)
     return Solution(
@@ -288,11 +242,7 @@ def run(inst: Instance, config: SearchConfig, initial: Solution | None = None) -
 
     Deterministic given (config, initial).
     """
-    if initial is None:
-        sol = _random_solution(inst, config.seed)
-    else:
-        check_feasible(inst, initial)
-        sol = initial
+    sol = _random_solution(inst, config.seed) if initial is None else initial
     assignment = evaluate(inst, sol)
     trace = [assignment.total]
     iterations = 0

@@ -104,16 +104,13 @@ def _relax(d: np.ndarray, out: np.ndarray) -> None:
 def from_matrix(table) -> MetricSpace:
     """Validate a square distance table and wrap it as a MetricSpace.
 
-    table is nested rows of ints, floats or decimal strings, or a numpy
-    array. The triangle inequality is checked only when n <=
+    table is nested rows of ints, floats or decimal strings, the JSON
+    form. The triangle inequality is checked only when n <=
     TRIANGLE_CHECK_LIMIT, with slack 0 for integer tables and FLOAT_TOL
     for float ones. Raises MetricError with witnessing indices on the
     first failure found.
     """
-    if isinstance(table, np.ndarray):
-        arr = _decode(table.tolist()).reshape(table.shape)  # tolist() flattens an empty table
-    else:
-        arr = _decode(table)
+    arr = _decode(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MetricError(f"distance table must be square, got shape {arr.shape}")
     n = arr.shape[0]

@@ -62,6 +62,13 @@ def random_feasible(rng: random.Random, inst: Instance) -> Solution:
     )
 
 
+def same_instance(a: Instance, b: Instance) -> bool:
+    """Same roles, budgets and distance table, of the same kind."""
+    return ((a.clients, a.red, a.blue, a.k_r, a.k_b, a.space.integral)
+            == (b.clients, b.red, b.blue, b.k_r, b.k_b, b.space.integral)
+            and np.array_equal(a.space.dist, b.space.dist))
+
+
 def line_instance(positions_clients, positions_red, positions_blue, k_r, k_b) -> Instance:
     """1-D integer metric: locations at given line coordinates.
 

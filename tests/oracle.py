@@ -5,7 +5,8 @@ reference for `evaluate` and its `instance.nearest`. `neighborhood`
 enumerates the moves one by one in canonical order and `DeltaEvaluator`
 prices one move at a time; the `oracle_*` helpers scan the first with the
 second and apply the selection rules move by move, the way the search did
-before it priced moves in numpy blocks. `deficiency` counts a location
+before it priced moves in numpy blocks. `delta_cost` prices any one move
+with the search's numpy kernel instead. `deficiency` counts a location
 set's blue imbalance straight from the two solutions.
 `reference_decode` and `reference_triangle` are the entry-by-entry
 decoder and the k-major triangle check that `metric` used before it
@@ -20,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
-from rbmedian.local_search import SwapMove, _swap_groups
+from rbmedian.local_search import SwapMove, _scan, _swap_groups
 
 _INF = float("inf")
 
@@ -92,6 +93,13 @@ def neighborhood(inst: Instance, sol: Solution, p: int):
     for group in _swap_groups(inst, sol, p):
         for cr, orr, cb, ob in product(*group):
             yield SwapMove(cr, orr, cb, ob)
+
+
+def delta_cost(inst: Instance, assignment: Assignment, move: SwapMove):
+    """Cost change of one move, priced by the search's own kernel: `_scan`
+    over a group holding just that move."""
+    group = ([move.close_red], [move.open_red], [move.close_blue], [move.open_blue])
+    return _scan(inst, assignment, [group])[2]
 
 
 def deficiency(members, s_sol: Solution, o_sol: Solution) -> int:

@@ -11,11 +11,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import grid_instance, random_feasible
+from oracle import delta_cost
 from rbmedian.decomposition import build_phi, check_standard_bounds, decompose
 from rbmedian.exact import brute_force_opt, is_local_opt
 from rbmedian.gap_gen import GapParams, build, verify
 from rbmedian.instance import Solution, disjointify, evaluate, gen_euclidean
-from rbmedian.local_search import SearchConfig, SwapMove, delta_cost, run
+from rbmedian.local_search import SearchConfig, SwapMove, run
 
 REL_TOL = 1e-9
 

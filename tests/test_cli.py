@@ -246,6 +246,29 @@ class TestVerify:
         assert doc["witness"]["delta"] < 0
 
 
+class TestChecksAtEntry:
+    """A bad parameter or solution is an input error before any scan runs:
+    feasibility is checked before the cap, so an infeasible solution is
+    exit 2 even where the cap would refuse."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "{inst}", "{good}", "--p", "0"], "p must be >= 1, got 0"),
+        (["verify", "{inst}", "{bad}", "--cap", "1"], "|R| = 2 != k_r = 1"),
+        (["solve", "{inst}", "--initial", "{bad}"], "|R| = 2 != k_r = 1"),
+    ], ids=["verify-p0", "verify-infeasible-under-refusing-cap", "solve-infeasible-initial"])
+    def test_exit_2_with_nothing_on_stdout(self, tmp_path, capsys, argv, message):
+        inst = line_instance([0, 9], [1, 8], [4, 5], k_r=1, k_b=1)
+        paths = {
+            "inst": put_instance(tmp_path, inst),
+            "good": put_solution(tmp_path, Solution(R={2}, B={4}), "good.json"),
+            "bad": put_solution(tmp_path, Solution(R={2, 3}, B={4}), "bad.json"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
 class TestDecompose:
     def test_disjoint_pair_reports_ok(self, tmp_path, capsys):
         inst = line_instance([0], [10, 10, 40, 40], [50, 50], k_r=2, k_b=1)
@@ -397,9 +420,13 @@ class TestExperiment:
         {"generate": {**GENERATE, "box_size": "nan"}},
         {"generate": {**GENERATE, "box_size": float("nan")}},
         {"generate": {**GENERATE, "box_size": float("inf")}},
+        {"generate": {**GENERATE, "box_size": 1e200}},
+        {"generate": {**GENERATE, "box_size": 10**400}},
+        {"epsilon": 10**400},
     ], ids=["epsilon-string", "opt_cap-null", "opt_cap-float", "p-string", "p-bool",
             "seed-list", "corpus-number", "generate-number", "n_red-string", "count-bool",
-            "box-string", "box-nan", "box-inf"])
+            "box-string", "box-nan", "box-inf", "box-overflow", "box-401-digits",
+            "epsilon-401-digits"])
     def test_mistyped_spec_field_is_an_input_error(self, tmp_path, capsys, body):
         # a corpus, when given, is read in place of the generator
         spec = self.make_spec(tmp_path, {"generate": self.GENERATE, **body})

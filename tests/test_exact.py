@@ -7,11 +7,11 @@ import pytest
 
 import rbmedian.exact as exact
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
-from oracle import neighborhood
+from oracle import delta_cost, neighborhood
 from rbmedian.errors import CapExceeded
 from rbmedian.exact import brute_force_opt, is_local_opt
 from rbmedian.instance import Solution, evaluate, gen_euclidean
-from rbmedian.local_search import SwapMove, delta_cost
+from rbmedian.local_search import SwapMove
 
 
 def naive_opt(inst):

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import rbmedian.local_search as ls
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
-from oracle import oracle_accepts, oracle_moves, oracle_pick
+from oracle import delta_cost, oracle_accepts, oracle_moves, oracle_pick
 from rbmedian.exact import is_local_opt
 from rbmedian.instance import Solution, gen_euclidean
-from rbmedian.local_search import SearchConfig, delta_cost
+from rbmedian.local_search import SearchConfig
 
 FLOAT_RTOL = 1e-9
 

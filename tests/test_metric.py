@@ -147,7 +147,7 @@ class TestClosureProperties:
     def test_graph_closure_is_a_valid_metric(self, graph):
         space = from_graph(*graph)
         # exact revalidation: symmetry, zero diagonal, triangle with no slack
-        revalidated = from_matrix(space.dist)
+        revalidated = from_matrix(space.dist.tolist())
         assert np.array_equal(revalidated.dist, space.dist)
 
     @given(graphs())
@@ -239,16 +239,10 @@ class TestDecodeOracle:
         with pytest.raises(FormatError):
             from_matrix([[0, entry], [entry, 0]])
 
-    def test_array_input_keeps_its_kind(self):
-        assert from_matrix(np.array([[0, 2], [2, 0]], dtype=np.int32)).integral
-        assert not from_matrix(np.array([[0, 2], [2, 0]], dtype=np.float32)).integral
-
-    def test_empty_array_is_the_empty_space(self):
-        space = from_matrix(np.zeros((0, 0), dtype=np.int64))
-        assert space.n == 0 and space.dist.shape == (0, 0)
-
-    @pytest.mark.parametrize("table", [[1, 2], np.array([1, 2]), np.array(5), 5, ["ab", "cd"]],
-                             ids=["list", "1-d-array", "0-d-array", "scalar", "strings"])
+    @pytest.mark.parametrize("table", [[1, 2], np.array([1, 2]), np.array(5), 5, ["ab", "cd"],
+                                       np.array([[0, 1], [1, 0]])],
+                             ids=["list", "1-d-array", "0-d-array", "scalar", "strings",
+                                  "2-d-array"])
     def test_tables_without_rows_are_format_errors(self, table):
         with pytest.raises(FormatError):
             from_matrix(table)
@@ -281,10 +275,10 @@ def check_witness(arr):
     tau = slack(arr)
     expected = reference_triangle(arr, tau)
     if expected is None:
-        from_matrix(arr)
+        from_matrix(arr.tolist())
         return False
     with pytest.raises(MetricError) as exc:
-        from_matrix(arr)
+        from_matrix(arr.tolist())
     i, k, j = exc.value.witness
     via = arr[i, k] + arr[k, j]
     assert arr[i, j] > (via + tau * max(1.0, via) if tau else via)
