@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 from .decomposition import decompose
@@ -100,12 +101,7 @@ def cmd_decompose(args) -> int:
     inst = _load_instance(args.instance)
     s_sol = parse_solution(_read(args.s_solution))
     o_sol = parse_solution(_read(args.o_solution))
-    shared = (s_sol.R & o_sol.R) | (s_sol.B & o_sol.B)
-    if shared and not args.disjointify:
-        raise InputError(
-            f"solutions share facilities {sorted(shared)}; pass --disjointify to duplicate them"
-        )
-    if shared:
+    if args.disjointify:
         inst, s_sol, o_sol = _disjointify(inst, s_sol, o_sol)
     report = decompose(inst, s_sol, o_sol)
     _emit(report.to_doc(), args.out)
@@ -195,7 +191,9 @@ def run_experiment(spec: dict, out_stream) -> list:
 
     Row order is instance-major, then p, then seed: fixed by the spec, so
     the result columns are reproducible run to run (wall_time_s is not).
-    Per-row failures land in the error column and the sweep continues.
+    An error in the spec, its search settings or its instance source is
+    raised before anything is written. An optimum refused by opt_cap
+    lands in the error column and the sweep continues.
     """
     p_values = spec.get("p_values", [1])
     seeds = spec.get("seeds", [0])
@@ -206,37 +204,37 @@ def run_experiment(spec: dict, out_stream) -> list:
     for key, values in (("p_values", p_values), ("seeds", seeds)):
         for value in values:
             _typed(value, (int,), f"{key!r} must hold integers")
+    configs = [(p, seed, SearchConfig(p=p, epsilon=epsilon, seed=seed))
+               for p in p_values for seed in seeds]
+    instances = _experiment_instances(spec)
+    first = list(islice(instances, 1))  # surfaces the source section's errors
 
     out_stream.write(f"# schema: {EXPERIMENT_CSV_SCHEMA}\n")
     writer = csv.DictWriter(out_stream, fieldnames=_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     rows = []
-    for name, inst in _experiment_instances(spec):
+    for name, inst in chain(first, instances):
         opt_cost, opt_err = None, None
         try:
             opt_cost = brute_force_opt(inst, cap=opt_cap).cost
         except CapExceeded as e:
             opt_err = str(e)
-        for p in p_values:
-            for seed in seeds:
-                row = {f: "" for f in _CSV_FIELDS}
-                row.update({"instance": name, "p": p, "seed": seed})
-                start = time.perf_counter()
-                try:
-                    result = run(inst, SearchConfig(p=p, epsilon=epsilon, seed=seed))
-                    row["local_cost"] = result.assignment.total
-                    row["iterations"] = result.iterations
-                    if opt_cost is not None:
-                        row["opt_cost"] = opt_cost
-                        if opt_cost > 0:
-                            row["ratio"] = _format_ratio(result.assignment.total, opt_cost)
-                    elif opt_err:
-                        row["error"] = f"opt skipped: {opt_err}"
-                except (InputError, CapExceeded, InternalInvariantError) as e:
-                    row["error"] = str(e)
-                row["wall_time_s"] = f"{time.perf_counter() - start:.6f}"
-                writer.writerow(row)
-                rows.append(row)
+        for p, seed, config in configs:
+            row = {f: "" for f in _CSV_FIELDS}
+            row.update({"instance": name, "p": p, "seed": seed})
+            start = time.perf_counter()
+            result = run(inst, config)
+            row["local_cost"] = result.assignment.total
+            row["iterations"] = result.iterations
+            if opt_cost is not None:
+                row["opt_cost"] = opt_cost
+                if opt_cost > 0:
+                    row["ratio"] = _format_ratio(result.assignment.total, opt_cost)
+            elif opt_err:
+                row["error"] = f"opt skipped: {opt_err}"
+            row["wall_time_s"] = f"{time.perf_counter() - start:.6f}"
+            writer.writerow(row)
+            rows.append(row)
     return rows
 
 

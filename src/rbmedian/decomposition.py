@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
-from .instance import Instance, Solution, check_feasible, evaluate, nearest
+from .instance import Assignment, Instance, Solution, evaluate, nearest
 from .metric import FLOAT_TOL
 
 RED = "red"
@@ -43,7 +43,7 @@ class FacilityClass(Enum):
 class GroupKind(Enum):
     # balanced: equal red counts and equal blue counts on both sides;
     # good: representative is a good facility, filler all opposite colour;
-    # bad: everything else (one colour's filler pool ran dry).
+    # bad: a filler pool ran dry, so the group took the other colour too.
     BALANCED = "balanced"
     GOOD = "good"
     BAD = "bad"
@@ -77,7 +77,6 @@ class Group:
     members: frozenset
     representative: int
     kind: GroupKind
-    rep_colour: str
     blue_deficiency: int
 
 
@@ -85,7 +84,10 @@ class Group:
 class Block:
     groups: tuple
     leader: int
-    members: frozenset
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset().union(*(g.members for g in self.groups))
 
 
 def colour_map(inst: Instance) -> dict:
@@ -97,11 +99,10 @@ def colour_map(inst: Instance) -> dict:
 def build_phi(inst: Instance, s_sol: Solution, o_sol: Solution) -> PhiMap:
     """Map each facility of o_sol to its nearest facility of s_sol.
 
-    Requires the two solutions to be facility-disjoint; evaluate costs are
-    oblivious to duplication, so disjointify() is the standard fix.
+    Both solutions are taken as feasible and must be facility-disjoint;
+    evaluate costs are oblivious to duplication, so disjointify() is the
+    standard fix.
     """
-    check_feasible(inst, s_sol)
-    check_feasible(inst, o_sol)
     s_fac = sorted(s_sol.facilities())
     o_fac = sorted(o_sol.facilities())
     overlap = set(s_fac) & set(o_fac)
@@ -132,20 +133,21 @@ def classify(phi: PhiMap, colours: dict) -> dict:
     return out
 
 
-def make_groups(phi: PhiMap, classes: dict, colours: dict) -> list:
+def make_groups(phi: PhiMap, colours: dict) -> list:
     """Partition S u O into groups, one per positive-degree facility.
 
-    Representatives are processed in ascending index order. Each takes its
-    full preimage plus deg - 1 zero-degree fillers, drawn in ascending
-    index order. Filler composition prefers an exact colour balance, then
-    an all-opposite-colour fill for a good representative, and otherwise
-    drains whichever colour pool fell short before topping up from the
-    other, which is the only way a group goes bad.
+    Representatives are processed in ascending index order, so the groups
+    come out in that order. Each takes its full preimage plus deg - 1
+    zero-degree fillers, drawn in ascending index order: those that balance
+    both colours exactly, or all of the other colour for a good
+    representative. A pool that cannot supply its share (the other
+    colour's is checked first) is drained and the other tops it up; that
+    is the only way a group goes bad.
     """
-    pools = {
-        RED: [i for i, mine in phi.pre.items() if not mine and colours[i] == RED],
-        BLUE: [i for i, mine in phi.pre.items() if not mine and colours[i] == BLUE],
-    }
+    pools = {RED: [], BLUE: []}
+    for i, mine in phi.pre.items():
+        if not mine:
+            pools[colours[i]].append(i)
     groups = []
     for rep, mine in phi.pre.items():
         if not mine:
@@ -155,31 +157,14 @@ def make_groups(phi: PhiMap, classes: dict, colours: dict) -> list:
         other_col = BLUE if rep_col == RED else RED
         same_pre = sum(1 for o in mine if colours[o] == rep_col)
         other_pre = len(mine) - same_pre
-        # exact balance wants same_pre - 1 fillers of rep's colour (the rep
-        # itself covers one) and other_pre of the other colour
-        want_same, want_other = same_pre - 1, other_pre
-
-        if (
-            want_same >= 0
-            and len(pools[rep_col]) >= want_same
-            and len(pools[other_col]) >= want_other
-        ):
-            fill = pools[rep_col][:want_same] + pools[other_col][:want_other]
-            kind = GroupKind.BALANCED
-        elif classes[rep] is FacilityClass.GOOD and len(pools[other_col]) >= need:
-            fill = pools[other_col][:need]
-            kind = GroupKind.GOOD
+        if same_pre:  # the rep itself covers one same-coloured preimage
+            want_same, want_other, kind = same_pre - 1, other_pre, GroupKind.BALANCED
         else:
-            if classes[rep] is FacilityClass.GOOD:
-                short_col = other_col
-            elif len(pools[other_col]) < want_other:
-                short_col = other_col
-            elif want_same >= 0 and len(pools[rep_col]) < want_same:
-                short_col = rep_col
-            else:
-                raise InternalInvariantError(
-                    f"group fallback reached with no short colour at representative {rep}"
-                )
+            want_same, want_other, kind = 0, need, GroupKind.GOOD
+        if len(pools[rep_col]) >= want_same and len(pools[other_col]) >= want_other:
+            fill = pools[rep_col][:want_same] + pools[other_col][:want_other]
+        else:
+            short_col = other_col if len(pools[other_col]) < want_other else rep_col
             rest_col = BLUE if short_col == RED else RED
             fill = list(pools[short_col])
             missing = need - len(fill)
@@ -199,7 +184,6 @@ def make_groups(phi: PhiMap, classes: dict, colours: dict) -> list:
                 members=members,
                 representative=rep,
                 kind=kind,
-                rep_colour=rep_col,
                 blue_deficiency=blue_ref - blue_cand,
             )
         )
@@ -211,43 +195,26 @@ def make_groups(phi: PhiMap, classes: dict, colours: dict) -> list:
     return groups
 
 
-def _merge(groups, leader) -> Block:
-    members = frozenset().union(*(g.members for g in groups))
-    return Block(groups=tuple(groups), leader=leader, members=members)
-
-
 def make_blocks(groups: list) -> list:
     """Assemble groups into blocks with zero blue deficiency.
 
-    Three phases: balanced groups stand alone; good groups with opposite
-    rep colours pair up (leader is the lower-indexed rep); each bad group
-    absorbs exactly as many leftover good groups as its deficiency needs.
-    Group arithmetic guarantees everything is consumed; anything left over
-    is a bug, not bad input.
+    `groups` must be ascending by representative, as make_groups returns
+    them. Balanced groups stand alone; good groups of deficiency +1 (red
+    representative) and -1 (blue) pair up, led by the lower-indexed
+    representative; each bad group absorbs as many leftover good groups as
+    its deficiency needs. Group arithmetic guarantees everything is
+    consumed; anything left over is a bug, not bad input.
     """
-    blocks = []
-    good_red = sorted(
-        (g for g in groups if g.kind is GroupKind.GOOD and g.rep_colour == RED),
-        key=lambda g: g.representative,
-    )
-    good_blue = sorted(
-        (g for g in groups if g.kind is GroupKind.GOOD and g.rep_colour == BLUE),
-        key=lambda g: g.representative,
-    )
+    blocks = [Block((g,), g.representative) for g in groups if g.kind is GroupKind.BALANCED]
+    good_red = [g for g in groups if g.kind is GroupKind.GOOD and g.blue_deficiency > 0]
+    good_blue = [g for g in groups if g.kind is GroupKind.GOOD and g.blue_deficiency < 0]
 
-    for g in groups:
-        if g.kind is GroupKind.BALANCED:
-            blocks.append(_merge([g], g.representative))
-
+    for gr, gb in zip(good_red, good_blue):
+        blocks.append(Block((gr, gb), min(gr.representative, gb.representative)))
     paired = min(len(good_red), len(good_blue))
-    for gr, gb in zip(good_red[:paired], good_blue[:paired]):
-        blocks.append(_merge([gr, gb], min(gr.representative, gb.representative)))
-    good_red = good_red[paired:]
-    good_blue = good_blue[paired:]
+    del good_red[:paired], good_blue[:paired]
 
-    for g in sorted(
-        (g for g in groups if g.kind is GroupKind.BAD), key=lambda g: g.representative
-    ):
+    for g in [g for g in groups if g.kind is GroupKind.BAD]:
         d = g.blue_deficiency
         if d == 0:
             raise InternalInvariantError(
@@ -260,12 +227,9 @@ def make_blocks(groups: list) -> list:
                 f"bad group at representative {g.representative} needs {take} "
                 f"offsetting good groups, {len(donors)} available"
             )
-        absorbed, remaining = donors[:take], donors[take:]
-        if d > 0:
-            good_blue = remaining
-        else:
-            good_red = remaining
-        blocks.append(_merge([g] + absorbed, g.representative))
+        absorbed = donors[:take]
+        del donors[:take]
+        blocks.append(Block((g, *absorbed), g.representative))
 
     if good_red or good_blue:
         reps = [g.representative for g in good_red + good_blue]
@@ -314,17 +278,18 @@ def check_block_properties(blocks: list, phi: PhiMap, classes: dict,
     seen = {}
     for bi, blk in enumerate(blocks):
         where = f"block[{bi}] (leader {blk.leader})"
-        for f in blk.members:
+        members = blk.members
+        for f in members:
             if f in seen:
                 violations.append(
                     Violation(where, "partition", f"location {f} also in {seen[f]}")
                 )
             seen[f] = where
 
-        cand = blk.members & s_set
-        ref = blk.members & o_set
-        if len(cand) + len(ref) != len(blk.members):
-            stray = sorted(blk.members - s_set - o_set)
+        cand = members & s_set
+        ref = members & o_set
+        if len(cand) + len(ref) != len(members):
+            stray = sorted(members - s_set - o_set)
             violations.append(
                 Violation(where, "membership", f"locations outside both solutions: {stray}")
             )
@@ -340,13 +305,13 @@ def check_block_properties(blocks: list, phi: PhiMap, classes: dict,
                 )
             )
         for i in cand:
-            out = [o for o in phi.pre[i] if o not in blk.members]
+            out = [o for o in phi.pre[i] if o not in members]
             if out:
                 violations.append(
                     Violation(where, "phi_closure", f"preimages of {i} escape the block: {out}")
                 )
         for o in ref:
-            if phi.phi[o] not in blk.members:
+            if phi.phi[o] not in members:
                 violations.append(
                     Violation(where, "phi_closure", f"phi({o}) = {phi.phi[o]} outside the block")
                 )
@@ -398,20 +363,18 @@ class BoundsReport:
         }
 
 
-def check_standard_bounds(inst: Instance, s_sol: Solution, o_sol: Solution,
+def check_standard_bounds(inst: Instance, a_s: Assignment, a_o: Assignment,
                           phi: PhiMap) -> BoundsReport:
     """Per-client reassignment bounds that triangle inequality must force.
 
-    With c the candidate distance, c* the reference distance, o the
-    client's reference facility: moving the client to phi(o) costs at most
-    c + 2c* (anchor bound), and moving it to cent(phi(o)) costs at most
-    2c + 3c* (centre bound). Slack is bound minus actual; the maximum over
-    clients is reported per bound. Slack below zero is a violation, or for
-    float tables below -FLOAT_TOL * max(1, c + c*).
+    With c the candidate distance (a_s), c* the reference distance (a_o),
+    o the client's reference facility: moving the client to phi(o) costs
+    at most c + 2c* (anchor bound), and moving it to cent(phi(o)) costs at
+    most 2c + 3c* (centre bound). Slack is bound minus actual; the maximum
+    over clients is reported per bound. Slack below zero is a violation,
+    or for float tables below -FLOAT_TOL * max(1, c + c*).
     """
     tol = 0.0 if inst.space.integral else FLOAT_TOL
-    a_s = evaluate(inst, s_sol)
-    a_o = evaluate(inst, o_sol)
     # O and S are disjoint, so one table holds phi on O and cent on S.
     lookup = np.zeros(inst.space.n, dtype=np.intp)
     lookup[list(phi.phi)] = list(phi.phi.values())
@@ -496,21 +459,21 @@ class DecompositionReport:
 def decompose(inst: Instance, s_sol: Solution, o_sol: Solution) -> DecompositionReport:
     """Full pipeline: phi, classes, groups, blocks, and both checkers.
 
-    Solutions must already be facility-disjoint; apply disjointify first
-    when they are not.
+    Each solution is evaluated once, first, which checks its feasibility.
+    Solutions must be facility-disjoint; apply disjointify first when they
+    are not.
     """
+    a_s, a_o = evaluate(inst, s_sol), evaluate(inst, o_sol)
     phi = build_phi(inst, s_sol, o_sol)
     colours = colour_map(inst)
     classes = classify(phi, colours)
-    groups = make_groups(phi, classes, colours)
+    groups = make_groups(phi, colours)
     blocks = make_blocks(groups)
-    block_report = check_block_properties(blocks, phi, classes, colours)
-    bounds_report = check_standard_bounds(inst, s_sol, o_sol, phi)
     return DecompositionReport(
         phi=phi,
         classes=classes,
         groups=groups,
         blocks=blocks,
-        block_report=block_report,
-        bounds_report=bounds_report,
+        block_report=check_block_properties(blocks, phi, classes, colours),
+        bounds_report=check_standard_bounds(inst, a_s, a_o, phi),
     )

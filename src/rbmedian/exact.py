@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import CapExceeded
 from .instance import Instance, Solution, evaluate
-from .local_search import (_BATCH, ConfigError, SwapMove, _scan, _subset_minima, _swap_groups,
-                           neighborhood_size)
+from .local_search import (_BATCH, ConfigError, SwapMove, _client_rows, _scan, _subset_minima,
+                           _swap_groups, neighborhood_size)
 
 DEFAULT_CAP = 10**8
 
@@ -71,8 +71,7 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     pairs = n_red * n_blue
     _refuse_over_cap(pairs, "candidate solutions", cap)
 
-    rows = inst.space.dist[:, np.asarray(inst.clients, dtype=np.intp)]
-    fill = np.iinfo(rows.dtype).max if inst.space.integral else np.inf
+    rows, fill = _client_rows(inst)
     width = min(n_blue, _BATCH)
     step = _BATCH // width
     blue_combos = combinations(inst.blue, inst.k_b)

@@ -83,11 +83,17 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
-    solution: Solution
     assignment: Assignment
-    iterations: int
-    trace: list
+    trace: list  # cost before the first move and after each accepted one
     termination: str
+
+    @property
+    def solution(self) -> Solution:
+        return self.assignment.solution
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace) - 1
 
     def to_doc(self) -> dict:
         return {
@@ -136,6 +142,14 @@ def neighborhood_size(inst: Instance, p: int) -> int:
     return one_colour(inst.k_r, len(inst.red)) * one_colour(inst.k_b, len(inst.blue)) - 1
 
 
+def _client_rows(inst: Instance):
+    """(rows, fill): rows[f] holds location f's distance to each client,
+    in `inst.clients` order; fill, no less than any distance, is the
+    minimum over an empty set of locations."""
+    rows = inst.space.dist[:, np.asarray(inst.clients, dtype=np.intp)]
+    return rows, np.iinfo(rows.dtype).max if inst.space.integral else np.inf
+
+
 def _subset_minima(rows: np.ndarray, combos, fill=None) -> np.ndarray:
     """Columnwise minimum of rows[c] per combination c; `fill` where c is empty."""
     return rows[np.asarray(combos, dtype=np.intp)].min(axis=1, initial=fill)
@@ -153,8 +167,7 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
     ties to the lowest index. Returns (canonical index, move, delta), or
     None when no move qualifies.
     """
-    rows = inst.space.dist[:, np.asarray(inst.clients, dtype=np.intp)]
-    fill = np.iinfo(rows.dtype).max if inst.space.integral else np.inf
+    rows, fill = _client_rows(inst)
     cur = assignment.distance
     r_open = sorted(assignment.solution.R)
     b_open = sorted(assignment.solution.B)
@@ -245,24 +258,10 @@ def run(inst: Instance, config: SearchConfig, initial: Solution | None = None) -
     sol = _random_solution(inst, config.seed) if initial is None else initial
     assignment = evaluate(inst, sol)
     trace = [assignment.total]
-    iterations = 0
-    termination = TERMINATION_LOCAL_OPT
-    while True:
-        if iterations >= config.max_iters:
-            termination = TERMINATION_ITERATION_CAP
-            break
+    while len(trace) <= config.max_iters:
         picked = _select_move(inst, assignment, config)
         if picked is None:
-            break
-        move, _delta = picked
-        sol = apply_move(sol, move)
-        assignment = evaluate(inst, sol)
+            return SearchResult(assignment, trace, TERMINATION_LOCAL_OPT)
+        assignment = evaluate(inst, apply_move(assignment.solution, picked[0]))
         trace.append(assignment.total)
-        iterations += 1
-    return SearchResult(
-        solution=sol,
-        assignment=assignment,
-        iterations=iterations,
-        trace=trace,
-        termination=termination,
-    )
+    return SearchResult(assignment, trace, TERMINATION_ITERATION_CAP)

@@ -11,15 +11,21 @@ set's blue imbalance straight from the two solutions.
 `reference_decode` and `reference_triangle` are the entry-by-entry
 decoder and the k-major triangle check that `metric` used before it
 decoded a table in one step and checked it against the min-plus square.
+`reference_make_groups` and `reference_make_blocks` are the grouping
+and block assembly that `decomposition` used before one filler rule
+replaced the class-driven fallback cascade.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+from rbmedian.decomposition import BLUE, RED, FacilityClass, GroupKind
+from rbmedian.errors import InternalInvariantError
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
 from rbmedian.local_search import SwapMove, _scan, _swap_groups
 
@@ -182,3 +188,138 @@ def violating_pairs(arr: np.ndarray, tau: float) -> np.ndarray:
         via = arr[:, k, None] + arr[None, k, :]
         mask |= arr > (via + tau * np.maximum(1.0, via) if tau else via)
     return mask
+
+
+@dataclass(eq=False)
+class ReferenceGroup:
+    members: frozenset
+    representative: int
+    kind: GroupKind
+    rep_colour: str
+    blue_deficiency: int
+
+
+@dataclass(eq=False)
+class ReferenceBlock:
+    groups: tuple
+    leader: int
+    members: frozenset
+
+
+def reference_make_groups(phi, classes: dict, colours: dict) -> list:
+    """Groups as the fallback cascade built them: exact balance first, then
+    an all-opposite fill for a good representative, else drain the short
+    colour (found from the class and the pools) and top up."""
+    pools = {
+        RED: [i for i, mine in phi.pre.items() if not mine and colours[i] == RED],
+        BLUE: [i for i, mine in phi.pre.items() if not mine and colours[i] == BLUE],
+    }
+    groups = []
+    for rep, mine in phi.pre.items():
+        if not mine:
+            continue
+        need = len(mine) - 1
+        rep_col = colours[rep]
+        other_col = BLUE if rep_col == RED else RED
+        same_pre = sum(1 for o in mine if colours[o] == rep_col)
+        other_pre = len(mine) - same_pre
+        want_same, want_other = same_pre - 1, other_pre
+
+        if (
+            want_same >= 0
+            and len(pools[rep_col]) >= want_same
+            and len(pools[other_col]) >= want_other
+        ):
+            fill = pools[rep_col][:want_same] + pools[other_col][:want_other]
+            kind = GroupKind.BALANCED
+        elif classes[rep] is FacilityClass.GOOD and len(pools[other_col]) >= need:
+            fill = pools[other_col][:need]
+            kind = GroupKind.GOOD
+        else:
+            if classes[rep] is FacilityClass.GOOD:
+                short_col = other_col
+            elif len(pools[other_col]) < want_other:
+                short_col = other_col
+            elif want_same >= 0 and len(pools[rep_col]) < want_same:
+                short_col = rep_col
+            else:
+                raise InternalInvariantError(
+                    f"group fallback reached with no short colour at representative {rep}"
+                )
+            rest_col = BLUE if short_col == RED else RED
+            fill = list(pools[short_col])
+            missing = need - len(fill)
+            if missing > len(pools[rest_col]):
+                raise InternalInvariantError(
+                    f"filler pools cannot supply {need} facilities for representative {rep}"
+                )
+            fill += pools[rest_col][:missing]
+            kind = GroupKind.BAD
+        for f in fill:
+            pools[colours[f]].remove(f)
+        members = frozenset([rep]) | frozenset(mine) | frozenset(fill)
+        blue_ref = sum(1 for o in mine if colours[o] == BLUE)
+        blue_cand = (1 if rep_col == BLUE else 0) + sum(1 for f in fill if colours[f] == BLUE)
+        groups.append(ReferenceGroup(members, rep, kind, rep_col, blue_ref - blue_cand))
+    leftover = pools[RED] or pools[BLUE]
+    if leftover:
+        raise InternalInvariantError(
+            f"zero-degree facilities left over after grouping: {leftover}"
+        )
+    return groups
+
+
+def _reference_merge(groups, leader) -> ReferenceBlock:
+    members = frozenset().union(*(g.members for g in groups))
+    return ReferenceBlock(groups=tuple(groups), leader=leader, members=members)
+
+
+def reference_make_blocks(groups: list) -> list:
+    """Blocks as assembled from groups split by representative colour and
+    re-sorted by representative."""
+    blocks = []
+    good_red = sorted(
+        (g for g in groups if g.kind is GroupKind.GOOD and g.rep_colour == RED),
+        key=lambda g: g.representative,
+    )
+    good_blue = sorted(
+        (g for g in groups if g.kind is GroupKind.GOOD and g.rep_colour == BLUE),
+        key=lambda g: g.representative,
+    )
+
+    for g in groups:
+        if g.kind is GroupKind.BALANCED:
+            blocks.append(_reference_merge([g], g.representative))
+
+    paired = min(len(good_red), len(good_blue))
+    for gr, gb in zip(good_red[:paired], good_blue[:paired]):
+        blocks.append(_reference_merge([gr, gb], min(gr.representative, gb.representative)))
+    good_red = good_red[paired:]
+    good_blue = good_blue[paired:]
+
+    for g in sorted(
+        (g for g in groups if g.kind is GroupKind.BAD), key=lambda g: g.representative
+    ):
+        d = g.blue_deficiency
+        if d == 0:
+            raise InternalInvariantError(
+                f"bad group at representative {g.representative} has zero deficiency"
+            )
+        donors = good_blue if d > 0 else good_red
+        take = abs(d)
+        if take > len(donors):
+            raise InternalInvariantError(
+                f"bad group at representative {g.representative} needs {take} "
+                f"offsetting good groups, {len(donors)} available"
+            )
+        absorbed, remaining = donors[:take], donors[take:]
+        if d > 0:
+            good_blue = remaining
+        else:
+            good_red = remaining
+        blocks.append(_reference_merge([g] + absorbed, g.representative))
+
+    if good_red or good_blue:
+        reps = [g.representative for g in good_red + good_blue]
+        raise InternalInvariantError(f"good groups left over after block assembly: {reps}")
+    return blocks

@@ -187,7 +187,7 @@ def test_criterion_7_reassignment_bound_suite():
             o = random_feasible(rng, inst)
             inst, s, o = disjointify(inst, s, o)
             phi = build_phi(inst, s, o)
-            report = check_standard_bounds(inst, s, o, phi)
+            report = check_standard_bounds(inst, evaluate(inst, s), evaluate(inst, o), phi)
             assert report.ok, (case, report.to_doc())
 
 

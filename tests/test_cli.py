@@ -291,6 +291,27 @@ class TestDecompose:
         doc = stdout_json(capsys)
         assert doc["ok"] is True
 
+    def test_overlap_without_flag_writes_nothing(self, tmp_path, capsys):
+        inst = line_instance([0], [10, 20], [30, 40], k_r=1, k_b=1)
+        ipath = put_instance(tmp_path, inst)
+        spath = put_solution(tmp_path, Solution(R={1}, B={3}), "s.json")
+        opath = put_solution(tmp_path, Solution(R={1}, B={4}), "o.json")
+        assert main(["decompose", ipath, spath, opath]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: solutions share facilities [1]")
+
+    @pytest.mark.parametrize("flag", [[], ["--disjointify"]])
+    def test_infeasible_solution_is_an_input_error(self, tmp_path, capsys, flag):
+        inst = line_instance([0], [10, 20], [30, 40], k_r=1, k_b=1)
+        ipath = put_instance(tmp_path, inst)
+        spath = put_solution(tmp_path, Solution(R=set(), B={3}), "s.json")
+        opath = put_solution(tmp_path, Solution(R={2}, B={4}), "o.json")
+        assert main(["decompose", ipath, spath, opath, *flag]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestGengap:
     def test_prints_instance_json(self, capsys):
@@ -433,3 +454,22 @@ class TestExperiment:
         assert main(["experiment", "--spec", spec]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body", [
+        {"generate": GENERATE, "epsilon": 1.5},
+        {"generate": GENERATE, "p_values": [1, 0]},
+        {"generate": {k: v for k, v in GENERATE.items() if k != "k_b"}},
+        {"generate": {**GENERATE, "box_size": -1}},
+        {"generate": {**GENERATE, "k_r": 3}},
+        {"corpus": "missing"},
+        {"p_values": [1]},
+    ], ids=["epsilon-range", "p-range", "generate-no-k_b", "box-negative", "budget-range",
+            "corpus-missing", "no-source"])
+    def test_spec_error_fails_before_any_output(self, tmp_path, capsys, body):
+        if "corpus" in body:
+            body = {"corpus": str(tmp_path / body["corpus"])}
+        spec = self.make_spec(tmp_path, body)
+        assert main(["experiment", "--spec", spec]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

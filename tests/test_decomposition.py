@@ -2,12 +2,13 @@
 
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
-from oracle import deficiency
+from oracle import deficiency, reference_make_blocks, reference_make_groups
 from rbmedian.decomposition import (
     BLUE,
     RED,
@@ -29,8 +30,9 @@ from rbmedian.decomposition import (
     make_blocks,
     make_groups,
 )
+from rbmedian import instance as instance_module
 from rbmedian.errors import InternalInvariantError
-from rbmedian.instance import Instance, Solution, disjointify
+from rbmedian.instance import Instance, InfeasibleSolutionError, Solution, disjointify, evaluate
 from rbmedian.metric import MetricSpace
 
 
@@ -38,6 +40,11 @@ def disjoint_pair(rng, inst):
     s = random_feasible(rng, inst)
     o = random_feasible(rng, inst)
     return disjointify(inst, s, o)
+
+
+def standard_bounds(inst, s, o, phi):
+    """check_standard_bounds on the evaluated solutions."""
+    return check_standard_bounds(inst, evaluate(inst, s), evaluate(inst, o), phi)
 
 
 def manual_phi(phi, colours):
@@ -138,7 +145,7 @@ class TestMakeGroups:
         o = Solution(R={2, 4}, B={6})
         phi = build_phi(inst, s, o)
         colours = colour_map(inst)
-        groups = make_groups(phi, classify(phi, colours), colours)
+        groups = make_groups(phi, colours)
         assert [g.kind for g in groups] == [GroupKind.BALANCED] * 3
         assert all(g.blue_deficiency == 0 for g in groups)
         assert {g.members for g in groups} == {
@@ -153,7 +160,7 @@ class TestMakeGroups:
         phi = manual_phi({10: 1, 11: 1}, colours)
         classes = classify(phi, colours)
         assert classes[1] is FacilityClass.GOOD
-        groups = make_groups(phi, classes, colours)
+        groups = make_groups(phi, colours)
         assert len(groups) == 1
         g = groups[0]
         assert g.kind is GroupKind.GOOD
@@ -163,7 +170,7 @@ class TestMakeGroups:
     def test_good_blue_representative_has_negative_deficiency(self):
         colours = {1: BLUE, 2: RED, 10: RED, 11: RED}
         phi = manual_phi({10: 1, 11: 1}, colours)
-        groups = make_groups(phi, classify(phi, colours), colours)
+        groups = make_groups(phi, colours)
         assert groups[0].kind is GroupKind.GOOD
         assert groups[0].blue_deficiency == -1
 
@@ -174,7 +181,7 @@ class TestMakeGroups:
         phi = manual_phi({10: 1, 11: 1, 12: 1}, colours)
         classes = classify(phi, colours)
         assert classes[1] is FacilityClass.BAD
-        groups = make_groups(phi, classes, colours)
+        groups = make_groups(phi, colours)
         g = groups[0]
         assert g.kind is GroupKind.BAD
         assert g.members == frozenset({1, 2, 3, 10, 11, 12})
@@ -187,7 +194,7 @@ class TestMakeGroups:
         phi = manual_phi({10: 1, 11: 1}, colours)
         classes = classify(phi, colours)
         assert classes[1] is FacilityClass.BAD
-        groups = make_groups(phi, classes, colours)
+        groups = make_groups(phi, colours)
         assert groups[0].kind is GroupKind.BALANCED
         assert groups[0].members == frozenset({1, 3, 10, 11})
         assert groups[0].blue_deficiency == 0
@@ -197,14 +204,14 @@ class TestMakeGroups:
         colours = {1: RED, 2: RED, 3: RED, 10: RED}
         phi = manual_phi({10: 1}, colours)
         with pytest.raises(InternalInvariantError):
-            make_groups(phi, classify(phi, colours), colours)
+            make_groups(phi, colours)
 
     def test_representatives_processed_in_ascending_order(self):
         rng = random.Random(0xBEEF)
         inst, s, o = disjoint_pair(rng, grid_instance(rng, 6, 6, 6, 3, 3))
         phi = build_phi(inst, s, o)
         colours = colour_map(inst)
-        groups = make_groups(phi, classify(phi, colours), colours)
+        groups = make_groups(phi, colours)
         reps = [g.representative for g in groups]
         assert reps == sorted(reps)
 
@@ -214,13 +221,68 @@ class TestMakeGroups:
             inst, s, o = disjoint_pair(rng, random_sized_grid(rng))
             phi = build_phi(inst, s, o)
             colours = colour_map(inst)
-            groups = make_groups(phi, classify(phi, colours), colours)
+            groups = make_groups(phi, colours)
             seen = [f for g in groups for f in g.members]
             assert len(seen) == len(set(seen))
             assert set(seen) == s.facilities() | o.facilities()
             assert sum(g.blue_deficiency for g in groups) == 0
             for g in groups:
                 assert deficiency(g.members, s, o) == g.blue_deficiency
+
+
+def random_preimage_map(rng):
+    """(PhiMap, colours) for candidates 0..n_s-1 and references after them,
+    each reference mapped to one of a few random candidates. Most maps have
+    equal sizes and colour counts on both sides, as feasible pairs do; the
+    rest reach the invariant breaches."""
+    n_s = rng.randint(1, 7)
+    n_o = n_s if rng.random() < 0.7 else rng.randint(1, 8)
+    cand = [rng.choice((RED, BLUE)) for _ in range(n_s)]
+    if n_o == n_s and rng.random() < 0.8:
+        ref = rng.sample(cand, n_s)
+    else:
+        ref = [rng.choice((RED, BLUE)) for _ in range(n_o)]
+    colours = dict(enumerate(cand + ref))
+    targets = rng.sample(range(n_s), rng.randint(1, n_s))
+    return manual_phi({n_s + t: rng.choice(targets) for t in range(n_o)}, colours), colours
+
+
+def grouping_outcome(phi, colours, groups_of, blocks_of):
+    """Groups, blocks and block report as plain data, up to the first
+    InternalInvariantError, whose message ends the record."""
+    out = {}
+    try:
+        groups = groups_of(phi, colours)
+        out["groups"] = [(sorted(g.members), g.representative, g.kind, g.blue_deficiency)
+                         for g in groups]
+        blocks = blocks_of(groups)
+        out["blocks"] = [(b.leader, sorted(b.members), [g.representative for g in b.groups])
+                         for b in blocks]
+        out["report"] = check_block_properties(
+            blocks, phi, classify(phi, colours), colours).to_doc()
+    except InternalInvariantError as e:
+        out["error"] = str(e)
+    return out
+
+
+class TestGroupingOracle:
+    def test_matches_fallback_cascade_on_random_maps(self):
+        rng = random.Random(0x0A11)
+        kinds, errors = set(), set()
+        for _ in range(6000):
+            phi, colours = random_preimage_map(rng)
+            new = grouping_outcome(phi, colours, make_groups, make_blocks)
+            ref = grouping_outcome(
+                phi, colours,
+                lambda phi, colours: reference_make_groups(phi, classify(phi, colours), colours),
+                reference_make_blocks)
+            assert new == ref, (phi, colours)
+            kinds.update(g[2] for g in new.get("groups", ()))
+            if "error" in new:
+                errors.add(new["error"].split(" ")[0])
+        assert kinds == set(GroupKind)
+        assert {"filler", "zero-degree"} <= errors  # both grouping breaches
+        assert {"bad", "good"} <= errors  # and those of block assembly
 
 
 class TestMakeBlocks:
@@ -238,7 +300,7 @@ class TestMakeBlocks:
         colours = {1: RED, 2: BLUE, 10: BLUE, 11: RED}
         phi = manual_phi({10: 1, 11: 2}, colours)
         classes = classify(phi, colours)
-        groups = make_groups(phi, classes, colours)
+        groups = make_groups(phi, colours)
         assert [g.kind for g in groups] == [GroupKind.GOOD, GroupKind.GOOD]
         assert [g.blue_deficiency for g in groups] == [+1, -1]
         blocks = make_blocks(groups)
@@ -263,7 +325,7 @@ class TestMakeBlocks:
         assert phi.pre == {1: [4, 9, 10], 2: [], 3: [], 7: [5], 8: [6]}
         colours = colour_map(inst)
         classes = classify(phi, colours)
-        groups = make_groups(phi, classes, colours)
+        groups = make_groups(phi, colours)
         assert sorted(g.kind.value for g in groups) == ["bad", "good", "good"]
         bad = next(g for g in groups if g.kind is GroupKind.BAD)
         assert bad.members == frozenset({1, 2, 3, 4, 9, 10})
@@ -284,7 +346,6 @@ class TestMakeBlocks:
             members=frozenset({1, 10}),
             representative=1,
             kind=GroupKind.BAD,
-            rep_colour=RED,
             blue_deficiency=0,
         )
         with pytest.raises(InternalInvariantError):
@@ -309,13 +370,10 @@ class TestCheckBlockProperties:
         report = decompose(inst, s, o)
         donor = next(b for b in report.blocks if len(b.members) > 1)
         victim = sorted(donor.members & set(report.phi.phi))[0]
-        mutated = [
-            Block(groups=b.groups, leader=b.leader, members=b.members - {victim})
-            if b is donor
-            else b
-            for b in report.blocks
-        ]
-        rep = check_block_properties(mutated, report.phi, report.classes, colour_map(inst))
+        for g in donor.groups:  # the block's members are its groups' members
+            if victim in g.members:
+                g.members = g.members - {victim}
+        rep = check_block_properties(report.blocks, report.phi, report.classes, colour_map(inst))
         assert not rep.ok
         checks = {v.check for v in rep.violations}
         assert "partition" in checks       # the victim is in no block now
@@ -325,8 +383,8 @@ class TestCheckBlockProperties:
         colours = {1: RED, 2: BLUE, 10: BLUE, 11: RED}
         phi = manual_phi({10: 1, 11: 2}, colours)
         classes = classify(phi, colours)
-        blocks = make_blocks(make_groups(phi, classes, colours))
-        bad = [Block(groups=blocks[0].groups, leader=99, members=blocks[0].members)]
+        blocks = make_blocks(make_groups(phi, colours))
+        bad = [Block(groups=blocks[0].groups, leader=99)]
         rep = check_block_properties(bad, phi, classes, colours)
         assert any(v.check == "leader" for v in rep.violations)
 
@@ -338,7 +396,7 @@ class TestStandardBounds:
         s = Solution(R={1}, B=set())
         o = Solution(R={2}, B=set())
         phi = build_phi(inst, s, o)
-        rep = check_standard_bounds(inst, s, o, phi)
+        rep = standard_bounds(inst, s, o, phi)
         assert rep.ok
         assert rep.clients_checked == 1
         assert rep.max_slack_anchor == 0
@@ -358,7 +416,7 @@ class TestStandardBounds:
         inst = Instance(MetricSpace(np.array(table, dtype=dtype)),
                         clients=(0, 5), red=(1, 2), blue=(3, 4), k_r=1, k_b=1)
         s, o = Solution(R={1}, B={3}), Solution(R={2}, B={4})
-        doc = check_standard_bounds(inst, s, o, build_phi(inst, s, o)).to_doc()
+        doc = standard_bounds(inst, s, o, build_phi(inst, s, o)).to_doc()
         num = str if integral else (lambda x: str(float(x)))
         assert doc["violations"] == [
             {"where": "client 0", "check": "anchor_bound",
@@ -375,7 +433,7 @@ class TestStandardBounds:
         inst = Instance(MetricSpace(dist), clients=(0,), red=(1, 2), blue=(),
                         k_r=1, k_b=0)
         s, o = Solution(R={1}, B=set()), Solution(R={2}, B=set())
-        rep = check_standard_bounds(inst, s, o, build_phi(inst, s, o))
+        rep = standard_bounds(inst, s, o, build_phi(inst, s, o))
         assert rep.ok
         assert rep.max_slack_anchor == 2 * big  # c + 2c* - c
         assert rep.max_slack_centre == 4 * big  # 2c + 3c* - c*
@@ -385,7 +443,7 @@ class TestStandardBounds:
         for _ in range(150):
             inst, s, o = disjoint_pair(rng, random_sized_grid(rng))
             phi = build_phi(inst, s, o)
-            rep = check_standard_bounds(inst, s, o, phi)
+            rep = standard_bounds(inst, s, o, phi)
             assert rep.ok, rep.to_doc()
 
     def test_holds_on_float_instances(self):
@@ -396,7 +454,7 @@ class TestStandardBounds:
             inst = gen_euclidean(8, 4, 4, 2, 2, seed=seed)
             inst, s, o = disjoint_pair(rng, inst)
             phi = build_phi(inst, s, o)
-            rep = check_standard_bounds(inst, s, o, phi)
+            rep = standard_bounds(inst, s, o, phi)
             assert rep.ok, rep.to_doc()
 
     def test_holds_on_gap_instance(self):
@@ -404,7 +462,7 @@ class TestStandardBounds:
 
         gap = build(GapParams(p=1, ell=10))
         phi = build_phi(gap.instance, gap.local_solution, gap.global_solution)
-        rep = check_standard_bounds(
+        rep = standard_bounds(
             gap.instance, gap.local_solution, gap.global_solution, phi
         )
         assert rep.ok, rep.to_doc()
@@ -420,6 +478,32 @@ class TestViolationDocs:
         assert json.dumps(block) == '{"blocks_checked": 2, "ok": false, "violations": ' + entry + "}"
         assert json.dumps(bounds) == ('{"clients_checked": 4, "ok": false, "max_slack_anchor": -2, '
                                       '"max_slack_centre": 1, "violations": ' + entry + "}")
+
+
+class TestDecomposeChecksOnce:
+    def test_two_feasibility_checks_per_disjoint_pair(self, monkeypatch):
+        rng = random.Random(3)
+        inst, s, o = disjoint_pair(rng, grid_instance(rng, 5, 5, 5, 2, 2))
+        real = instance_module.check_feasible
+        checked = []
+
+        def counting(inst, sol):
+            checked.append(sol)
+            return real(inst, sol)
+
+        patched = []  # every package namespace that holds the function
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rbmedian") and getattr(module, "check_feasible", None) is real:
+                monkeypatch.setattr(module, "check_feasible", counting)
+                patched.append(name)
+        assert "rbmedian.instance" in patched
+        assert decompose(inst, s, o).ok
+        assert len(checked) == 2 and checked[0] is s and checked[1] is o
+
+    def test_infeasible_candidate_rejected(self):
+        inst = line_instance([0], [10, 20], [30, 40], k_r=1, k_b=1)
+        with pytest.raises(InfeasibleSolutionError):
+            decompose(inst, Solution(R=set(), B={3}), Solution(R={2}, B={4}))
 
 
 class TestDecomposeReport:
