@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 verification failed or improving witness found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -20,7 +22,8 @@ from pathlib import Path
 from .decomposition import decompose
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .exact import DEFAULT_CAP, brute_force_opt, is_local_opt
-from .gap_gen import GapParams, build as build_gap, verify as verify_gap
+from .gap_gen import (GapParams, build as build_gap, expected_costs, ratio_lower_bound,
+                      verify as verify_gap)
 from .instance import (
     _load_object,
     disjointify as _disjointify,
@@ -42,23 +45,31 @@ _CSV_FIELDS = ["instance", "p", "seed", "local_cost", "opt_cost", "ratio",
                "iterations", "wall_time_s", "error"]
 
 
-def _read(path: str) -> bytes:
+@contextlib.contextmanager
+def _file_errors(verb: str, path):
+    """Turn an OSError inside the block into an InputError: cannot <verb> <path>."""
     try:
-        return Path(path).read_bytes()
+        yield
     except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
+        raise InputError(f"cannot {verb} {path}: {e}") from None
+
+
+def _read(path: str) -> bytes:
+    with _file_errors("read", path):
+        return Path(path).read_bytes()
 
 
 def _load_instance(path: str):
     return parse(_read(path))
 
 
-def _emit(doc, out: str | None) -> None:
+def _emit(doc, out: str | Path | None) -> None:
     text = json.dumps(doc, indent=2)
     if out is None or out == "-":
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with _file_errors("write", out):
+            Path(out).write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_solve(args) -> int:
@@ -109,31 +120,31 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_gengap(args) -> int:
-    gap = build_gap(GapParams(p=args.p, ell=args.ell))
+    params = GapParams(p=args.p, ell=args.ell)
+    gap = build_gap(params)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "instance.json").write_bytes(serialize(gap.instance) + b"\n")
-        (out / "local.json").write_bytes(serialize_solution(gap.local_solution) + b"\n")
-        (out / "global.json").write_bytes(serialize_solution(gap.global_solution) + b"\n")
-        expectations = {
-            "p": gap.params.p,
-            "ell": gap.params.ell,
-            "alpha": gap.params.alpha,
-            "beta": gap.params.beta,
-            "k_r": gap.params.k_r,
-            "k_b": gap.params.k_b,
-            "expected_local_cost": gap.expected_local_cost,
-            "expected_global_cost": gap.expected_global_cost,
-            "expected_ratio_lower_bound": str(gap.expected_ratio_lower_bound),
-        }
-        (out / "expected.json").write_text(
-            json.dumps(expectations, indent=2) + "\n", encoding="utf-8"
-        )
+        with _file_errors("write", out):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "instance.json").write_bytes(serialize(gap.instance) + b"\n")
+            (out / "local.json").write_bytes(serialize_solution(gap.local_solution) + b"\n")
+            (out / "global.json").write_bytes(serialize_solution(gap.global_solution) + b"\n")
+        local_cost, global_cost = expected_costs(params)
+        _emit({
+            "p": params.p,
+            "ell": params.ell,
+            "alpha": params.alpha,
+            "beta": params.beta,
+            "k_r": params.k_r,
+            "k_b": params.k_b,
+            "expected_local_cost": local_cost,
+            "expected_global_cost": global_cost,
+            "expected_ratio_lower_bound": str(ratio_lower_bound(params.p, params.ell)),
+        }, out / "expected.json")
         print(f"wrote instance and solutions to {out}", file=sys.stderr)
     if args.verify:
         report = verify_gap(gap, exhaustive_cap=args.cap)
-        print(json.dumps(report.to_doc(), indent=2))
+        _emit(report.to_doc(), None)
         return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
     if not args.out:
         print(serialize(gap.instance).decode("utf-8"))
@@ -163,7 +174,7 @@ def _experiment_instances(spec: dict):
         if not root.is_dir():
             raise InputError(f"corpus directory {root} does not exist")
         for path in sorted(root.glob("*.json")):
-            yield path.name, parse(path.read_bytes())
+            yield path.name, parse(_read(path))
     elif "generate" in spec:
         g = _typed(spec["generate"], (dict,), "'generate' must be an object")
         try:
@@ -240,11 +251,13 @@ def run_experiment(spec: dict, out_stream) -> list:
 
 def cmd_experiment(args) -> int:
     spec = _load_object(_read(args.spec), "experiment spec")
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            run_experiment(spec, fh)
-    else:
+    if not args.out or args.out == "-":
         run_experiment(spec, sys.stdout)
+        return EXIT_OK
+    rows = io.StringIO()
+    run_experiment(spec, rows)  # a bad spec is refused before the file is touched
+    with _file_errors("write", args.out):
+        Path(args.out).write_text(rows.getvalue(), encoding="utf-8", newline="")
     return EXIT_OK
 
 

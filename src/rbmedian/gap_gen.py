@@ -67,7 +67,10 @@ class GapParams:
 
 @dataclass(frozen=True)
 class GapLayout:
-    """Location ids of every structural role, for tests and diagnostics."""
+    """Location ids of every structural role, for tests and diagnostics.
+
+    Ids run from 0 in field order, so the clients are the ids below hub_red.
+    """
 
     left_clients: tuple
     middle_clients: tuple  # [section][position]
@@ -82,13 +85,12 @@ class GapLayout:
 
 @dataclass(eq=False)
 class GapInstance:
+    """A built family member; its closed forms are `expected_costs(params)`."""
+
     params: GapParams
     instance: Instance
     local_solution: Solution
     global_solution: Solution
-    expected_local_cost: int
-    expected_global_cost: int
-    expected_ratio_lower_bound: Fraction
     layout: GapLayout
 
 
@@ -106,92 +108,44 @@ def ratio_lower_bound(p: int, ell: int) -> Fraction:
 
 def build(params: GapParams) -> GapInstance:
     p, ell = params.p, params.ell
-    alpha, beta = params.alpha, params.beta
+    nxt = count().__next__
 
-    n_left_c = p + 1
-    n_mid_c = p * ell
-    n_right_local = p * (ell + 1)
-    n_right_c = n_right_local * p
-    n_clients = n_left_c + n_mid_c + n_right_c
+    def ids(*shape):  # fresh consecutive ids, nested to this shape; ids() is one
+        return tuple(ids(*shape[1:]) for _ in range(shape[0])) if shape else nxt()
 
-    ids = count()
-    nxt = ids.__next__
-    left_clients = tuple(nxt() for _ in range(n_left_c))
-    middle_clients = tuple(
-        tuple(nxt() for _ in range(ell)) for _ in range(p)
+    # keyword arguments are evaluated in order, so ids follow field order
+    lay = GapLayout(
+        left_clients=ids(p + 1),
+        middle_clients=ids(p, ell),
+        right_clients=ids(params.k_b, p),
+        hub_red=ids(),
+        middle_reds=ids(p),
+        left_reference_reds=ids(p + 1),
+        middle_reference_blues=ids(p, ell),
+        right_local_blues=ids(params.k_b),
+        right_reference_blues=ids(p),
     )
-    right_clients = tuple(
-        tuple(nxt() for _ in range(p)) for _ in range(n_right_local)
-    )
-    hub_red = nxt()
-    middle_reds = tuple(nxt() for _ in range(p))
-    left_reference_reds = tuple(nxt() for _ in range(n_left_c))
-    middle_reference_blues = tuple(
-        tuple(nxt() for _ in range(ell)) for _ in range(p)
-    )
-    right_local_blues = tuple(nxt() for _ in range(n_right_local))
-    right_reference_blues = tuple(nxt() for _ in range(p))
     n = nxt()  # ids are consecutive from 0, so the next one is the count
 
     edges = []
-    for t, c in enumerate(left_clients):
-        edges.append((c, hub_red, alpha))
-        edges.append((c, left_reference_reds[t], 0))
-    for s in range(p):
-        for c_pos in range(ell):
-            c = middle_clients[s][c_pos]
-            edges.append((c, middle_reds[s], beta))
-            edges.append((c, middle_reference_blues[s][c_pos], 0))
-    for f in range(n_right_local):
-        for t in range(p):
-            c = right_clients[f][t]
-            edges.append((c, right_local_blues[f], 1))
-            edges.append((c, right_reference_blues[t], 1))
+    for c, ref in zip(lay.left_clients, lay.left_reference_reds):
+        edges += [(c, lay.hub_red, params.alpha), (c, ref, 0)]
+    for section, red, refs in zip(lay.middle_clients, lay.middle_reds, lay.middle_reference_blues):
+        for c, ref in zip(section, refs):
+            edges += [(c, red, params.beta), (c, ref, 0)]
+    for group, blue in zip(lay.right_clients, lay.right_local_blues):
+        for c, ref in zip(group, lay.right_reference_blues):
+            edges += [(c, blue, 1), (c, ref, 1)]
 
-    space = from_graph(n, edges)
-    clients = tuple(range(n_clients))
-    red = (hub_red,) + middle_reds + left_reference_reds
-    blue = (
-        tuple(x for sec in middle_reference_blues for x in sec)
-        + right_local_blues
-        + right_reference_blues
-    )
-    inst = Instance(space=space, clients=clients, red=red, blue=blue,
+    middle_blues = sum(lay.middle_reference_blues, ())
+    local_reds = (lay.hub_red, *lay.middle_reds)
+    inst = Instance(space=from_graph(n, edges), clients=tuple(range(lay.hub_red)),
+                    red=local_reds + lay.left_reference_reds,
+                    blue=middle_blues + lay.right_local_blues + lay.right_reference_blues,
                     k_r=params.k_r, k_b=params.k_b)
-
-    local = Solution(
-        R=frozenset((hub_red,) + middle_reds),
-        B=frozenset(right_local_blues),
-    )
-    globl = Solution(
-        R=frozenset(left_reference_reds),
-        B=frozenset(
-            tuple(x for sec in middle_reference_blues for x in sec)
-            + right_reference_blues
-        ),
-    )
-    exp_local, exp_global = expected_costs(params)
-    layout = GapLayout(
-        left_clients=left_clients,
-        middle_clients=middle_clients,
-        right_clients=right_clients,
-        hub_red=hub_red,
-        middle_reds=middle_reds,
-        left_reference_reds=left_reference_reds,
-        middle_reference_blues=middle_reference_blues,
-        right_local_blues=right_local_blues,
-        right_reference_blues=right_reference_blues,
-    )
-    return GapInstance(
-        params=params,
-        instance=inst,
-        local_solution=local,
-        global_solution=globl,
-        expected_local_cost=exp_local,
-        expected_global_cost=exp_global,
-        expected_ratio_lower_bound=ratio_lower_bound(params.p, params.ell),
-        layout=layout,
-    )
+    local = Solution(R=local_reds, B=lay.right_local_blues)
+    globl = Solution(R=lay.left_reference_reds, B=middle_blues + lay.right_reference_blues)
+    return GapInstance(params, inst, local, globl, lay)
 
 
 @dataclass
@@ -227,6 +181,10 @@ class GapVerifyReport:
         return doc
 
 
+def _expect(what: str, got, want) -> str:
+    return "pass" if got == want else f"fail: {what} {got}, expected {want}"
+
+
 def verify(gap: GapInstance, exhaustive_cap: int = DEFAULT_CAP) -> GapVerifyReport:
     """Check the family's three claims on a built instance.
 
@@ -237,47 +195,30 @@ def verify(gap: GapInstance, exhaustive_cap: int = DEFAULT_CAP) -> GapVerifyRepo
     the cap.
     """
     inst = gap.instance
-    checks = {}
-    witness = None
-
+    want_local, want_global = expected_costs(gap.params)
     local_cost = evaluate(inst, gap.local_solution).total
     global_cost = evaluate(inst, gap.global_solution).total
-    checks["local_cost"] = (
-        "pass" if local_cost == gap.expected_local_cost
-        else f"fail: evaluated {local_cost}, expected {gap.expected_local_cost}"
-    )
-    checks["global_cost"] = (
-        "pass" if global_cost == gap.expected_global_cost
-        else f"fail: evaluated {global_cost}, expected {gap.expected_global_cost}"
-    )
+    checks = {
+        "local_cost": _expect("evaluated", local_cost, want_local),
+        "global_cost": _expect("evaluated", global_cost, want_global),
+    }
+    witness = None
 
-    try:
-        opt = brute_force_opt(inst, cap=exhaustive_cap)
-    except CapExceeded as e:
-        checks["global_is_optimum"] = f"skipped: {e}"
-    else:
-        checks["global_is_optimum"] = (
-            "pass" if opt.cost == gap.expected_global_cost
-            else f"fail: optimum {opt.cost}, expected {gap.expected_global_cost}"
-        )
+    def optimum():
+        return _expect("optimum", brute_force_opt(inst, cap=exhaustive_cap).cost, want_global)
 
-    try:
+    def no_improving_swap():
+        nonlocal witness
         verdict = is_local_opt(inst, gap.local_solution, gap.params.p, cap=exhaustive_cap)
-    except CapExceeded as e:
-        checks["locally_optimal"] = f"skipped: {e}"
-    else:
+        witness = verdict.witness
         if verdict.locally_optimal:
-            checks["locally_optimal"] = "pass"
-        else:
-            witness = verdict.witness
-            checks["locally_optimal"] = (
-                f"fail: improving move found with delta {verdict.witness_delta}"
-            )
+            return "pass"
+        return f"fail: improving move found with delta {verdict.witness_delta}"
 
-    return GapVerifyReport(
-        params=gap.params,
-        local_cost=local_cost,
-        global_cost=global_cost,
-        checks=checks,
-        witness=witness,
-    )
+    for name, check in (("global_is_optimum", optimum), ("locally_optimal", no_improving_swap)):
+        try:
+            checks[name] = check()
+        except CapExceeded as e:
+            checks[name] = f"skipped: {e}"
+
+    return GapVerifyReport(gap.params, local_cost, global_cost, checks, witness)

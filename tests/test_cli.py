@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through cli.main."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -342,6 +343,25 @@ class TestGengap:
         assert main(["gengap", "--p", "0", "--ell", "2"]) == EXIT_INPUT_ERROR
         assert main(["gengap", "--p", "2", "--ell", "2"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("p, ell, digest", [
+        (1, 2, "7ee062cb9811f2e63c670426c78ed351fc01382764784c4adbcab4e54c9d5a56"),
+        (2, 4, "12ca1d9e1b6d7cf91b6dfefef818529cab41685f5ea3972ee0bf8154a084d1ec"),
+        (3, 6, "a0225fb351a5d9e35376451be0d5372825aa950cde082b8da38c40f79f35ab80"),
+    ])
+    def test_family_bytes_unchanged(self, tmp_path, capsys, p, ell, digest):
+        # One digest over the four --out files, in this order, then the
+        # --verify report at the default cap.
+        argv = ["gengap", "--p", str(p), "--ell", str(ell)]
+        out = tmp_path / "family"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        h = hashlib.sha256()
+        for name in ("instance.json", "local.json", "global.json", "expected.json"):
+            h.update((out / name).read_bytes())
+        capsys.readouterr()
+        assert main([*argv, "--verify"]) == EXIT_OK
+        h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest
+
 
 class TestExperiment:
     def make_spec(self, tmp_path, body):
@@ -406,6 +426,15 @@ class TestExperiment:
         for r in rows:
             assert r["ratio"]  # integer costs always get an exact ratio
 
+    def test_unreadable_corpus_entry_is_an_input_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        (corpus / "a.json").mkdir(parents=True)
+        spec = self.make_spec(tmp_path, {"corpus": str(corpus)})
+        assert main(["experiment", "--spec", spec]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read ")
+
     def test_empty_corpus_gives_header_only(self, tmp_path, capsys):
         corpus = tmp_path / "empty"
         corpus.mkdir()
@@ -455,6 +484,13 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_bad_spec_leaves_an_existing_out_file_alone(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        out.write_bytes(b"# schema: rbmedian.experiment.v1\nprevious,results\n")
+        spec = self.make_spec(tmp_path, {"generate": self.GENERATE, "epsilon": 1.5})
+        assert main(["experiment", "--spec", spec, "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert out.read_bytes() == b"# schema: rbmedian.experiment.v1\nprevious,results\n"
+
     @pytest.mark.parametrize("body", [
         {"generate": GENERATE, "epsilon": 1.5},
         {"generate": GENERATE, "p_values": [1, 0]},
@@ -473,3 +509,30 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestUnwritableOut:
+    """An --out the program cannot write is an input error: exit 2, with
+    nothing on stdout and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{fam}/instance.json", "--out", "{missing}"],
+        ["exact", "{fam}/instance.json", "--out", "{missing}"],
+        ["verify", "{fam}/instance.json", "{fam}/local.json", "--out", "{missing}"],
+        ["decompose", "{fam}/instance.json", "{fam}/local.json", "{fam}/global.json",
+         "--out", "{missing}"],
+        ["gengap", "--p", "1", "--ell", "2", "--out", "{file}"],
+        ["experiment", "--spec", "{spec}", "--out", "{missing}"],
+    ], ids=["solve", "exact", "verify", "decompose", "gengap-out-is-a-file", "experiment"])
+    def test_exit_2_with_nothing_on_stdout(self, tmp_path, capsys, argv):
+        fam, spec, file = tmp_path / "fam", tmp_path / "spec.json", tmp_path / "a-file"
+        assert main(["gengap", "--p", "1", "--ell", "2", "--out", str(fam)]) == EXIT_OK
+        spec.write_text(json.dumps({"generate": TestExperiment.GENERATE}))
+        file.write_bytes(b"kept")
+        capsys.readouterr()
+        paths = {"fam": fam, "spec": spec, "file": file, "missing": tmp_path / "missing" / "out"}
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+        assert file.read_bytes() == b"kept" and not (tmp_path / "missing").exists()

@@ -1,5 +1,6 @@
 """Worst-case family: construction, closed forms, and verification."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from rbmedian.gap_gen import (
     ratio_lower_bound,
     verify,
 )
-from rbmedian.instance import evaluate, serialize
+from rbmedian.instance import Solution, evaluate, serialize
 
 
 class TestParams:
@@ -48,9 +49,6 @@ class TestBuild:
         assert len(inst.blue) == 6
         assert inst.k_r == 2
         assert inst.k_b == 3
-        assert gap.expected_local_cost == 11
-        assert gap.expected_global_cost == 3
-        assert gap.expected_ratio_lower_bound == ratio_lower_bound(1, 2)
 
     def test_layout_distances(self):
         gap = build(GapParams(p=2, ell=4))
@@ -77,13 +75,14 @@ class TestBuild:
         # two clients sharing a reference blue are two hops apart
         assert d[lay.right_clients[0][0], lay.right_clients[5][0]] == 2
         # islands are unreachable from each other
-        assert d[lay.hub_red, lay.right_local_blues[0]] > gap.expected_local_cost
+        assert d[lay.hub_red, lay.right_local_blues[0]] > expected_costs(params)[0]
 
     def test_designated_costs_evaluate_to_closed_forms(self):
         for p, ell in [(1, 2), (1, 4), (2, 4), (3, 6)]:
             gap = build(GapParams(p=p, ell=ell))
-            assert evaluate(gap.instance, gap.local_solution).total == gap.expected_local_cost
-            assert evaluate(gap.instance, gap.global_solution).total == gap.expected_global_cost
+            local, globl = expected_costs(gap.params)
+            assert evaluate(gap.instance, gap.local_solution).total == local
+            assert evaluate(gap.instance, gap.global_solution).total == globl
 
     def test_build_is_deterministic(self):
         a = build(GapParams(p=1, ell=3))
@@ -165,3 +164,27 @@ class TestVerify:
         assert report.checks["locally_optimal"].startswith(
             "skipped: 49 neighborhood moves exceed the cap of 10")
         assert report.ok  # skipped is not failed, and the report says so
+
+    def test_failures_are_reported_with_the_witness(self):
+        # the (1, 2) instance claimed as the (1, 3) member, with a designated
+        # solution whose middle clients have no open facility on their island
+        gap = build(GapParams(p=1, ell=2))
+        lay = gap.layout
+        bad = replace(gap, params=GapParams(p=1, ell=3), local_solution=Solution(
+            R={lay.hub_red, lay.left_reference_reds[0]}, B=lay.right_local_blues))
+        report = verify(bad)
+        assert report.checks == {
+            "local_cost": "fail: evaluated 35, expected 18",
+            "global_cost": "fail: evaluated 3, expected 4",
+            "global_is_optimum": "fail: optimum 3, expected 4",
+            "locally_optimal": "fail: improving move found with delta -24",
+        }
+        assert report.ok is False
+        doc = report.to_doc()
+        assert doc["ok"] is False
+        assert doc["witness"] == {
+            "close_red": [],
+            "open_red": [],
+            "close_blue": [lay.right_local_blues[0]],
+            "open_blue": [lay.middle_reference_blues[0][0]],
+        }
