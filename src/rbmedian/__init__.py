@@ -34,7 +34,8 @@ from .local_search import (
     neighborhood_size,
     run,
 )
-from .exact import DEFAULT_CAP, LocalOptVerdict, OptResult, brute_force_opt, is_local_opt
+from .exact import (DEFAULT_CAP, LocalOptVerdict, OptResult, brute_force_opt, is_local_opt,
+                    lower_bound)
 from .decomposition import (
     Block,
     FacilityClass,
@@ -106,6 +107,7 @@ __all__ = [
     "from_matrix",
     "gen_euclidean",
     "is_local_opt",
+    "lower_bound",
     "make_blocks",
     "make_groups",
     "neighborhood_size",

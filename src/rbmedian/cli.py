@@ -174,7 +174,12 @@ def _experiment_instances(spec: dict):
         if not root.is_dir():
             raise InputError(f"corpus directory {root} does not exist")
         for path in sorted(root.glob("*.json")):
-            yield path.name, parse(_read(path))
+            data = _read(path)  # its errors name the whole path already
+            try:
+                inst = parse(data)
+            except InputError as e:
+                raise InputError(f"{path.name}: {e}") from None
+            yield path.name, inst
     elif "generate" in spec:
         g = _typed(spec["generate"], (dict,), "'generate' must be an object")
         try:

@@ -49,7 +49,8 @@ def test_criterion_1_smallest_family_instance_exact():
 
 
 def test_criterion_2_single_swap_tightness_series():
-    with criterion(2, "p=1, ell in {2,4,10,20}: no improving swap, ratio 7 - 10/(ell+1)"):
+    with criterion(2, "p=1, ell in {2,4,10,20}: optimum certified, no improving swap, "
+                      "ratio 7 - 10/(ell+1)"):
         for ell in (2, 4, 10, 20):
             t0 = time.perf_counter()
             gap = build(GapParams(p=1, ell=ell))
@@ -58,12 +59,8 @@ def test_criterion_2_single_swap_tightness_series():
             assert report.checks["local_cost"] == "pass", (ell, report.checks)
             assert report.checks["global_cost"] == "pass", (ell, report.checks)
             assert report.checks["locally_optimal"] == "pass", (ell, report.checks)
-            if ell <= 10:
-                assert report.checks["global_is_optimum"] == "pass", (ell, report.checks)
-            else:
-                # the full scan is beyond the enumeration cap; the report
-                # must say so rather than silently claim optimality
-                assert report.checks["global_is_optimum"].startswith("skipped"), ell
+            # certified by the lower bound, so no width is beyond the cap
+            assert report.checks["global_is_optimum"] == "pass", (ell, report.checks)
             ratio = Fraction(report.local_cost, report.global_cost)
             assert ratio == 7 - Fraction(10, ell + 1), (ell, ratio)
             assert elapsed < 10.0, f"ell={ell} took {elapsed:.2f} s"

@@ -344,10 +344,10 @@ class TestGengap:
         assert main(["gengap", "--p", "2", "--ell", "2"]) == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("p, ell, digest", [
-        (1, 2, "7ee062cb9811f2e63c670426c78ed351fc01382764784c4adbcab4e54c9d5a56"),
-        (2, 4, "12ca1d9e1b6d7cf91b6dfefef818529cab41685f5ea3972ee0bf8154a084d1ec"),
-        (3, 6, "a0225fb351a5d9e35376451be0d5372825aa950cde082b8da38c40f79f35ab80"),
-    ])
+        (1, 2, "a082a7bc0aa890785b7b5465fb9cd36d984b8e84ccc0f1722bd9e8954093cfea"),
+        (2, 4, "be1da0d57537fbad6e4b1c24945600f7d7ef172c64c7caa9e40b55e5f1dc51a4"),
+        (3, 6, "501ec857245f77e646bbb45e4b811ca3f6cb2d80b8bedfbc30178f2bc6dc4672"),
+    ], ids=["1-2", "2-4", "3-6"])
     def test_family_bytes_unchanged(self, tmp_path, capsys, p, ell, digest):
         # One digest over the four --out files, in this order, then the
         # --verify report at the default cap.
@@ -434,6 +434,15 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot read ")
+
+    def test_malformed_corpus_entry_names_its_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.json").write_bytes(serialize(grid_instance(random.Random(5), 4, 2, 2, 1, 1)))
+        (corpus / "b.json").write_text("{bad")
+        spec = self.make_spec(tmp_path, {"corpus": str(corpus)})
+        assert main(["experiment", "--spec", spec]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: b.json: malformed instance document")
 
     def test_empty_corpus_gives_header_only(self, tmp_path, capsys):
         corpus = tmp_path / "empty"

@@ -1,15 +1,17 @@
-"""Exhaustive oracles: brute force optimum and local-optimality verdicts."""
+"""Exact oracles: the lower bound, the brute-force optimum and local-optimality verdicts."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rbmedian.exact as exact
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
 from oracle import delta_cost, neighborhood
 from rbmedian.errors import CapExceeded
-from rbmedian.exact import brute_force_opt, is_local_opt
+from rbmedian.exact import _exact_sum, brute_force_opt, is_local_opt, lower_bound
 from rbmedian.instance import Solution, evaluate, gen_euclidean
 from rbmedian.local_search import SwapMove
 
@@ -116,6 +118,70 @@ class TestBruteForce:
             res = brute_force_opt(inst)
             assert res.cost == cost
             assert res.solution == Solution(R=set(R), B=set(B))
+
+
+def scalar_bound(inst):
+    """Independent reference: each client's nearest facility, one at a time."""
+    d = inst.space.dist
+    cast = int if inst.space.integral else Fraction
+    return sum((cast(min(d[f, c].item() for f in inst.red + inst.blue)) for c in inst.clients),
+               cast(0))
+
+
+def exact_opt_cost(inst):
+    """The brute-force optimum's distances summed without rounding."""
+    return _exact_sum(evaluate(inst, brute_force_opt(inst).solution).distance)
+
+
+@st.composite
+def small_instances(draw):
+    n_clients = draw(st.integers(0, 6))
+    n_red, n_blue = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k_r = draw(st.integers(0, n_red))
+    k_b = draw(st.integers(0 if k_r else 1, n_blue))
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return gen_euclidean(n_clients, n_red, n_blue, k_r, k_b, box_size=50.0, seed=seed)
+    return grid_instance(random.Random(seed), n_clients, n_red, n_blue, k_r, k_b)
+
+
+class TestLowerBound:
+    def check(self, inst):
+        bound = lower_bound(inst)
+        assert type(bound) is (int if inst.space.integral else Fraction)
+        assert bound == scalar_bound(inst)
+        assert bound <= exact_opt_cost(inst)
+
+    def test_seeded_integer_and_float_corpora(self):
+        rng = random.Random(0x10B0)
+        for _ in range(60):
+            self.check(random_sized_grid(rng, max_clients=7, max_per_colour=5))
+        for seed in range(30):
+            self.check(gen_euclidean(rng.randint(0, 9), rng.randint(1, 5), rng.randint(2, 5),
+                                     1, rng.randint(0, 2), box_size=10.0, seed=seed))
+
+    @given(small_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_corpus(self, inst):
+        self.check(inst)
+
+    def test_single_colour_budgets(self):
+        # the closed colour still counts, so the bound may fall below the optimum
+        red_only = line_instance([0, 10], [1, 9], [4], k_r=1, k_b=0)
+        assert lower_bound(red_only) == 1 + 1
+        assert brute_force_opt(red_only).cost == 1 + 9
+        blue_only = line_instance([0, 10], [1, 9], [4, 8], k_r=0, k_b=2)
+        assert lower_bound(blue_only) == 1 + 1
+        assert brute_force_opt(blue_only).cost == 4 + 2
+        self.check(red_only)
+        self.check(blue_only)
+
+    def test_met_on_the_worst_case_family(self):
+        from rbmedian.gap_gen import GapParams, build, expected_costs
+
+        for p, ell in [(1, 2), (1, 10), (2, 4), (2, 6), (1, 20), (3, 30)]:
+            params = GapParams(p=p, ell=ell)
+            assert lower_bound(build(params).instance) == expected_costs(params)[1], (p, ell)
 
 
 class TestIsLocalOpt:

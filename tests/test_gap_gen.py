@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import rbmedian.gap_gen as gap_gen
 from rbmedian.gap_gen import (
     GapParamError,
     GapParams,
@@ -13,7 +14,30 @@ from rbmedian.gap_gen import (
     ratio_lower_bound,
     verify,
 )
+from rbmedian.exact import lower_bound
 from rbmedian.instance import Solution, evaluate, serialize
+from rbmedian.metric import MetricSpace
+
+
+def worse_reference(gap):
+    """The member with its reference's first middle blue traded for a right
+    local blue: still feasible, but 2 * beta dearer, so the bound is not met."""
+    lay, ref = gap.layout, gap.global_solution
+    blues = (set(ref.B) - {lay.middle_reference_blues[0][0]}) | {lay.right_local_blues[0]}
+    return replace(gap, global_solution=Solution(R=ref.R, B=blues))
+
+
+def count_brute_force(monkeypatch) -> list:
+    """Record each brute_force_opt call verify makes; returns the record."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = gap_gen.brute_force_opt
+    monkeypatch.setattr(gap_gen, "brute_force_opt", counted)
+    return calls
 
 
 class TestParams:
@@ -148,21 +172,53 @@ class TestVerify:
         assert all(v == "pass" for v in report.checks.values())
         assert Fraction(report.local_cost, report.global_cost) == 5
 
-    def test_oversized_optimum_check_is_skipped_not_failed(self):
+    def test_wide_member_optimum_is_certified_by_the_bound(self, monkeypatch):
+        calls = count_brute_force(monkeypatch)
         report = verify(build(GapParams(p=1, ell=20)))
-        assert report.checks["local_cost"] == "pass"
-        assert report.checks["global_cost"] == "pass"
-        assert report.checks["global_is_optimum"].startswith("skipped")
+        assert all(v == "pass" for v in report.checks.values()), report.checks
+        assert report.methods == {"global_is_optimum": "lower bound",
+                                  "locally_optimal": "enumeration"}
+        assert report.to_doc()["methods"] == report.methods
+        assert calls == []
+
+    def test_unmet_bound_falls_back_to_the_brute_force(self, monkeypatch):
+        calls = count_brute_force(monkeypatch)
+        gap = worse_reference(build(GapParams(p=1, ell=2)))
+        report = verify(gap)
+        assert report.checks["global_cost"] == "fail: evaluated 7, expected 3"
+        assert report.checks["global_is_optimum"] == "pass"  # the optimum is still 3
+        assert report.methods["global_is_optimum"] == "brute force"
+        # claimed as the (1, 3) member, whose closed-form optimum is 4
+        report = verify(replace(gap, params=GapParams(p=1, ell=3)))
+        assert report.checks["global_is_optimum"] == "fail: optimum 3, expected 4"
+        assert len(calls) == 2
+
+    def test_float_table_meets_the_bound_exactly(self):
+        # at a tenth of the scale the reference's float total rounds
+        # (0.1 + 0.1 + 0.1 > 0.3), but its exact sum still meets the bound
+        gap = build(GapParams(p=1, ell=2))
+        space = MetricSpace(gap.instance.space.dist * 0.1)
+        gap = replace(gap, instance=replace(gap.instance, space=space))
+        assert evaluate(gap.instance, gap.global_solution).total != lower_bound(gap.instance)
+        assert verify(gap).methods["global_is_optimum"] == "lower bound"
+
+    def test_oversized_optimum_check_is_skipped_not_failed(self):
+        report = verify(worse_reference(build(GapParams(p=1, ell=20))))
+        assert report.checks["global_is_optimum"].startswith(
+            "skipped: 3229547246640 candidate solutions exceed the cap of 100000000")
         assert report.checks["locally_optimal"] == "pass"
-        assert report.ok
 
     def test_tiny_cap_skips_both_searches(self):
-        report = verify(build(GapParams(p=1, ell=2)), exhaustive_cap=10)
         # the reason is the refusal's own message, with the count that tripped it
+        report = verify(worse_reference(build(GapParams(p=1, ell=2))), exhaustive_cap=10)
         assert report.checks["global_is_optimum"].startswith(
             "skipped: 120 candidate solutions exceed the cap of 10")
         assert report.checks["locally_optimal"].startswith(
             "skipped: 49 neighborhood moves exceed the cap of 10")
+        # a met bound needs no enumeration, so no cap can skip it
+        report = verify(build(GapParams(p=1, ell=2)), exhaustive_cap=10)
+        assert report.checks["global_is_optimum"] == "pass"
+        assert report.checks["locally_optimal"].startswith("skipped: 49 ")
         assert report.ok  # skipped is not failed, and the report says so
 
     def test_failures_are_reported_with_the_witness(self):
