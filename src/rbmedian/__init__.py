@@ -8,6 +8,8 @@ generator for a worst-case family on which the heuristic's approximation
 ratio is tight.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import CapExceeded, Error, InputError, InternalInvariantError
 from .metric import MetricError, MetricSpace, from_graph, from_matrix
 from .instance import (
@@ -63,59 +65,6 @@ from .gap_gen import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "Block",
-    "CapExceeded",
-    "DEFAULT_CAP",
-    "Error",
-    "FacilityClass",
-    "FormatError",
-    "GapInstance",
-    "GapParams",
-    "Group",
-    "GroupKind",
-    "InfeasibleSolutionError",
-    "InputError",
-    "Instance",
-    "InstanceError",
-    "InternalInvariantError",
-    "LocalOptVerdict",
-    "MetricError",
-    "MetricSpace",
-    "OptResult",
-    "OverlapError",
-    "PhiMap",
-    "SearchConfig",
-    "SearchResult",
-    "Solution",
-    "SwapMove",
-    "apply_move",
-    "brute_force_opt",
-    "build",
-    "build_phi",
-    "check_block_properties",
-    "check_feasible",
-    "check_standard_bounds",
-    "classify",
-    "colour_map",
-    "decompose",
-    "disjointify",
-    "evaluate",
-    "expected_costs",
-    "from_graph",
-    "from_matrix",
-    "gen_euclidean",
-    "is_local_opt",
-    "lower_bound",
-    "make_blocks",
-    "make_groups",
-    "neighborhood_size",
-    "parse",
-    "parse_solution",
-    "ratio_lower_bound",
-    "run",
-    "serialize",
-    "serialize_solution",
-    "verify",
-]
+# Every public name imported above; the submodules themselves are not exports.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

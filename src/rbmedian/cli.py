@@ -15,15 +15,14 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
 
 from .decomposition import decompose
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .exact import DEFAULT_CAP, brute_force_opt, is_local_opt
-from .gap_gen import (GapParams, build as build_gap, expected_costs, ratio_lower_bound,
-                      verify as verify_gap)
+from .gap_gen import (GapParams, build as build_gap, expected_costs, format_ratio,
+                      ratio_lower_bound, verify as verify_gap)
 from .instance import (
     _load_object,
     disjointify as _disjointify,
@@ -196,12 +195,6 @@ def _experiment_instances(spec: dict):
         raise InputError("experiment spec needs either 'corpus' or 'generate'")
 
 
-def _format_ratio(local_cost, opt_cost) -> str:
-    if isinstance(local_cost, int) and isinstance(opt_cost, int):
-        return str(Fraction(local_cost, opt_cost))
-    return repr(local_cost / opt_cost)
-
-
 def run_experiment(spec: dict, out_stream) -> list:
     """Run the sweep described by a spec dict and write CSV to out_stream.
 
@@ -245,7 +238,7 @@ def run_experiment(spec: dict, out_stream) -> list:
             if opt_cost is not None:
                 row["opt_cost"] = opt_cost
                 if opt_cost > 0:
-                    row["ratio"] = _format_ratio(result.assignment.total, opt_cost)
+                    row["ratio"] = format_ratio(result.assignment.total, opt_cost)
             elif opt_err:
                 row["error"] = f"opt skipped: {opt_err}"
             row["wall_time_s"] = f"{time.perf_counter() - start:.6f}"

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import CapExceeded
 from .instance import Instance, Solution, evaluate
-from .local_search import (_BATCH, ConfigError, SwapMove, _client_rows, _scan, _subset_minima,
-                           _swap_groups, neighborhood_size)
+from .local_search import (ConfigError, SwapMove, _block_moves, _client_rows, _scan,
+                           _subset_minima, _swap_groups, neighborhood_size)
 
 DEFAULT_CAP = 10**8
 
@@ -77,10 +77,11 @@ def lower_bound(inst: Instance):
 def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     """Scan every feasible (R, B) pair; refuse if there are more than cap.
 
-    Blue subsets go in chunks of `width`, each chunk's per-client minima
-    computed once; against each chunk, red subsets go in chunks of
-    _BATCH // width. A colour with budget 0 has one empty subset, whose
-    minima are the fill value, so it never wins a client.
+    Blue subsets go in chunks of `width`, at most a block's worth
+    (`_block_moves`), each chunk's per-client minima computed once; against
+    each chunk, red subsets go in chunks that fill the block. A colour with
+    budget 0 has one empty subset, whose minima are the fill value, so it
+    never wins a client.
     """
     n_red = comb(len(inst.red), inst.k_r)
     n_blue = comb(len(inst.blue), inst.k_b)
@@ -88,8 +89,9 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     _refuse_over_cap(pairs, "candidate solutions", cap)
 
     rows, fill = _client_rows(inst)
-    width = min(n_blue, _BATCH)
-    step = _BATCH // width
+    per = _block_moves(len(inst.clients))
+    width = min(n_blue, per)
+    step = per // width
     blue_combos = combinations(inst.blue, inst.k_b)
     best = None  # ((cost, red rank, blue rank), red subset, blue subset)
     for b_lo in range(0, n_blue, width):

@@ -148,6 +148,13 @@ def build(params: GapParams) -> GapInstance:
     return GapInstance(params, inst, local, globl, lay)
 
 
+def format_ratio(num, den) -> str:
+    """num / den: an exact fraction for integers, else the float quotient's repr."""
+    if isinstance(num, int) and isinstance(den, int):
+        return str(Fraction(num, den))
+    return repr(num / den)
+
+
 @dataclass
 class GapVerifyReport:
     """Per-check status: 'pass', 'fail', or 'skipped: <reason>'.
@@ -173,7 +180,7 @@ class GapVerifyReport:
             "ell": self.params.ell,
             "local_cost": self.local_cost,
             "global_cost": self.global_cost,
-            "ratio": f"{Fraction(self.local_cost, self.global_cost)}",
+            "ratio": format_ratio(self.local_cost, self.global_cost),
             "checks": dict(self.checks),
             "methods": dict(self.methods),
             "ok": self.ok,

@@ -170,12 +170,15 @@ def disjointify(inst: Instance, s_sol: Solution, o_sol: Solution):
     Each facility open in both solutions gets a copy at distance zero; the
     first solution keeps the original, the second is rewritten to use the
     copy. Both costs are preserved exactly. Returns (instance, s, o); the
-    inputs come back untouched when already disjoint.
+    inputs come back untouched when already disjoint, or when either holds
+    a location outside its colour, so no copy can stand for a bad id.
+    Feasibility is the caller's to check, by evaluating the pair it gets
+    back, as `decompose` does; a budget error in the second solution then
+    names its copies.
     """
-    check_feasible(inst, s_sol)
-    check_feasible(inst, o_sol)
     shared = sorted((s_sol.R & o_sol.R) | (s_sol.B & o_sol.B))
-    if not shared:
+    if not shared or not ((s_sol.R | o_sol.R) <= inst.red_set
+                          and (s_sol.B | o_sol.B) <= inst.blue_set):
         return inst, s_sol, o_sol
 
     n = inst.space.n

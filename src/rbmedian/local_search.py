@@ -9,13 +9,18 @@ this module (best-improvement tie-breaks, first-improvement selection,
 witness reporting) is stated against that order, which `_swap_groups`
 alone defines.
 
-Moves are priced in blocks: a block is every move sharing (a, b,
-close_red). For each close_blue the columnwise minimum over the open
-facilities that stay open is computed once; then every (open_red,
-close_blue, open_blue) of the block is priced by one numpy minimum with
-the opened facilities' rows and a sum of new minus current distance over
-the clients. Working arrays hold at most _BATCH moves. Integer metrics
-stay in int64, so their deltas are exact.
+Each swap size (a, b) is priced as one outer minimum over (close_red,
+open_red, close_blue, open_blue). Per colour and swap size, the scan
+computes once, when first needed, the columnwise minimum over what each
+close set leaves open and over each open set; a state (close, open) is the
+minimum of the two, and a move's new distances are the minimum of its red
+and blue states. Blocks are contiguous runs of the canonical order, cut
+from broadcast slices of those minima and holding about _BLOCK_ENTRIES
+(moves x clients) entries, so the working arrays stay in cache. A colour's
+whole state table is built once when it fits in a block; when the blue one
+does not, each red state is folded into the blue close-set minima instead.
+A delta is the sum of new minus current distance over one contiguous client
+row; integer metrics stay in int64, so their deltas are exact.
 
 With epsilon > 0 a move is accepted only if it cuts cost by a relative
 (epsilon / n) factor, which bounds the number of iterations; epsilon = 0
@@ -38,11 +43,16 @@ from .instance import Assignment, Instance, Solution, evaluate
 TERMINATION_LOCAL_OPT = "local-optimum"
 TERMINATION_ITERATION_CAP = "iteration-cap"
 
-# Most moves (or subsets) held in one working array. Measured on a 2-CPU
-# host against 16384: this size scans and brute-forces no slower, and
-# repeated brute forces of the (p, ell) = (1, 10) family peak at a steady
-# 257 MB instead of 290-306 MB.
-_BATCH = 2048
+# Entries (moves or subsets x clients) in one working array: 384 KB at 8
+# bytes, so blocks stay in cache. That is 409 moves at 120 clients and
+# 1,585-2,137 subset pairs on the (2,4) and (1,10) families, whose brute
+# force runs as fast as at the fixed 2,048 it used before (2-CPU host).
+_BLOCK_ENTRIES = 3 << 14
+
+
+def _block_moves(n_clients: int) -> int:
+    """Moves (or subsets) in one block over n_clients clients."""
+    return max(1, _BLOCK_ENTRIES // max(n_clients, 1))
 
 
 class ConfigError(InputError):
@@ -113,24 +123,24 @@ def apply_move(sol: Solution, move: SwapMove) -> Solution:
 
 
 def _swap_groups(inst: Instance, sol: Solution, p: int):
-    """Yield the neighborhood as (close_reds, open_reds, close_blues, open_blues).
+    """Yield the neighborhood as (red, blue) groups, one per swap size (a, b).
 
-    One group per swap size (a, b); its moves are the product of the four
-    lists in that order, which is the canonical order. Each close_red
-    starts one block. `sol` is taken as feasible: callers have evaluated it.
+    Each side is (close sets, open sets) of one colour, ascending id
+    tuples; a group's moves are the product close_red x open_red x
+    close_blue x open_blue in C order, which is the canonical order. Every
+    group of one swap size shares the same side object. `sol` is taken as
+    feasible: callers have evaluated it.
     """
-    r_open = sorted(sol.R)
-    r_pool = sorted(inst.red_set - sol.R)
-    b_open = sorted(sol.B)
-    b_pool = sorted(inst.blue_set - sol.B)
-    max_a = min(p, len(r_open), len(r_pool))
-    max_b = min(p, len(b_open), len(b_pool))
-    for a in range(max_a + 1):
-        for b in range(max_b + 1):
-            if a == 0 and b == 0:
-                continue
-            yield (list(combinations(r_open, a)), list(combinations(r_pool, a)),
-                   list(combinations(b_open, b)), list(combinations(b_pool, b)))
+    def sides(chosen, pool):
+        opened, spare = sorted(chosen), sorted(pool - chosen)
+        return [(list(combinations(opened, a)), list(combinations(spare, a)))
+                for a in range(min(p, len(opened), len(spare)) + 1)]
+
+    reds, blues = sides(sol.R, inst.red_set), sides(sol.B, inst.blue_set)
+    for red in reds:
+        for blue in blues:
+            if red is not reds[0] or blue is not blues[0]:
+                yield red, blue
 
 
 def neighborhood_size(inst: Instance, p: int) -> int:
@@ -155,8 +165,41 @@ def _subset_minima(rows: np.ndarray, combos, fill=None) -> np.ndarray:
     return rows[np.asarray(combos, dtype=np.intp)].min(axis=1, initial=fill)
 
 
-def _without(ids, dropped) -> list:
-    return [f for f in ids if f not in dropped]
+def _states(kept, added) -> np.ndarray:
+    """Rows of every (close set, open set) state, C order: the columnwise
+    minimum of the close set's `kept` row and the open set's `added` row."""
+    return np.minimum(kept[:, None], added[None]).reshape(len(kept) * len(added), -1)
+
+
+def _runs(kept, added, states, per):
+    """Runs of at most `per` consecutive states of one colour, C order, as
+    (first state, state rows): slices of `states` when the whole table was
+    built, else states of whole close sets or of part of one."""
+    if states is not None:
+        for lo in range(0, len(states), per):
+            yield lo, states[lo : lo + per]
+        return
+    n_open = len(added)
+    step, width = max(per // n_open, 1), min(per, n_open)
+    for c in range(0, len(kept), step):
+        for o in range(0, n_open, width):
+            yield c * n_open + o, _states(kept[c : c + step], added[o : o + width])
+
+
+def _blocks(red, blue, per):
+    """Yield (first red state, first blue state, new distances) per block of
+    one group, canonical order; new is (red states, blue states, clients)
+    and freshly allocated. A blue table too large for a block is never
+    built: each red state is folded into the blue close-set minima."""
+    r_kept, r_added, r_states = red
+    b_kept, b_added, b_states = blue
+    if b_states is not None:
+        for r0, r_rows in _runs(r_kept, r_added, r_states, per // len(b_states)):
+            yield r0, 0, np.minimum(r_rows[:, None], b_states[None])
+    else:
+        for r, r_row in _runs(r_kept, r_added, r_states, 1):
+            for b0, b_rows in _runs(np.minimum(b_kept, r_row), b_added, None, per):
+                yield r, b0, b_rows[None]
 
 
 def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
@@ -169,44 +212,44 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
     """
     rows, fill = _client_rows(inst)
     cur = assignment.distance
-    r_open = sorted(assignment.solution.R)
-    b_open = sorted(assignment.solution.B)
+    per = _block_moves(len(cur))
+    memo = {}  # id(side) -> (side, kept, added, states): per colour and swap size
+
+    def minima(side, chosen):
+        if id(side) not in memo:
+            closes, opens = side
+            kept = _subset_minima(rows, [[f for f in chosen if f not in c] for c in closes], fill)
+            added = _subset_minima(rows, opens, fill)
+            fits = len(closes) * len(opens) <= per
+            memo[id(side)] = (side, kept, added, _states(kept, added) if fits else None)
+        return memo[id(side)][1:]
+
     best = None
     base = 0
-    for close_reds, open_reds, close_blues, open_blues in groups:
-        or_min = _subset_minima(rows, open_reds, fill)
-        ob_min = _subset_minima(rows, open_blues, fill)
-        b_kept = _subset_minima(rows, [_without(b_open, cb) for cb in close_blues], fill)
-        n_cb, n_ob = len(close_blues), len(open_blues)
-        n_outer = len(open_reds) * n_cb  # (open_red, close_blue) pairs
-        width = min(n_ob, _BATCH)
-        step = _BATCH // width
-        for cr in close_reds:
-            r_kept = rows[_without(r_open, cr)].min(axis=0, initial=fill)
-            survivors = np.minimum(b_kept, r_kept)
-            for lo in range(0, n_outer, step):
-                outer = np.arange(lo, min(lo + step, n_outer))
-                kept = np.minimum(or_min[outer // n_cb], survivors[outer % n_cb])
-                for t in range(0, n_ob, width):
-                    new = np.minimum(kept[:, None, :], ob_min[None, t : t + width, :])
-                    new -= cur
-                    deltas = new.sum(axis=-1).ravel()
-                    if accept is None:
-                        q = int(deltas.argmin())
-                        if best is not None and not deltas[q] < best[2]:
-                            continue
-                    else:
-                        hits = accept(deltas)
-                        q = int(hits.argmax())
-                        if not hits[q]:
-                            continue
-                    o, i_ob = lo + q // width, t + q % width  # width < n_ob only if step == 1
-                    i_or, i_cb = divmod(o, n_cb)
-                    move = SwapMove(cr, open_reds[i_or], close_blues[i_cb], open_blues[i_ob])
-                    best = (base + o * n_ob + i_ob, move, deltas[q].item())
-                    if accept is not None:
-                        return best
-            base += n_outer * n_ob
+    for red_side, blue_side in groups:
+        red = minima(red_side, assignment.solution.R)
+        blue = minima(blue_side, assignment.solution.B)
+        n_or, n_ob = len(red[1]), len(blue[1])
+        n_blue = len(blue[0]) * n_ob
+        for r0, b0, new in _blocks(red, blue, per):
+            new -= cur
+            deltas = new.sum(axis=-1).ravel()
+            if accept is None:
+                q = int(deltas.argmin())
+                if best is not None and not deltas[q] < best[2]:
+                    continue
+            else:
+                hits = accept(deltas)
+                q = int(hits.argmax())
+                if not hits[q]:
+                    continue
+            r, b = r0 + q // new.shape[1], b0 + q % new.shape[1]
+            (i_cr, i_or), (i_cb, i_ob) = divmod(r, n_or), divmod(b, n_ob)
+            move = SwapMove(red_side[0][i_cr], red_side[1][i_or], blue_side[0][i_cb], blue_side[1][i_ob])
+            best = (base + r * n_blue + b, move, deltas[q].item())
+            if accept is not None:
+                return best
+        base += len(red[0]) * n_or * n_blue
     return best
 
 

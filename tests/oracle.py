@@ -96,15 +96,15 @@ class DeltaEvaluator:
 
 def neighborhood(inst: Instance, sol: Solution, p: int):
     """Yield every valid move of size at most p per colour, canonical order."""
-    for group in _swap_groups(inst, sol, p):
-        for cr, orr, cb, ob in product(*group):
+    for red, blue in _swap_groups(inst, sol, p):
+        for cr, orr, cb, ob in product(*red, *blue):
             yield SwapMove(cr, orr, cb, ob)
 
 
 def delta_cost(inst: Instance, assignment: Assignment, move: SwapMove):
     """Cost change of one move, priced by the search's own kernel: `_scan`
     over a group holding just that move."""
-    group = ([move.close_red], [move.open_red], [move.close_blue], [move.open_blue])
+    group = (([move.close_red], [move.open_red]), ([move.close_blue], [move.open_blue]))
     return _scan(inst, assignment, [group])[2]
 
 

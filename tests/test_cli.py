@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import grid_instance, line_instance
+from rbmedian import instance as instance_module
 from rbmedian.cli import (
     EXIT_CAP_REFUSED,
     EXIT_INPUT_ERROR,
@@ -291,6 +292,30 @@ class TestDecompose:
         assert main(["decompose", ipath, spath, opath, "--disjointify"]) == EXIT_OK
         doc = stdout_json(capsys)
         assert doc["ok"] is True
+
+    def test_shared_pair_is_checked_once_per_solution(self, tmp_path, capsys, monkeypatch):
+        inst = line_instance([0], [10, 20], [30, 40], k_r=1, k_b=1)
+        ipath = put_instance(tmp_path, inst)
+        spath = put_solution(tmp_path, Solution(R={1}, B={3}), "s.json")
+        opath = put_solution(tmp_path, Solution(R={1}, B={3}), "o.json")
+        checked = []
+        real = instance_module.check_feasible
+        monkeypatch.setattr(instance_module, "check_feasible",
+                            lambda inst, sol: checked.append(sol) or real(inst, sol))
+        assert main(["decompose", ipath, spath, opath, "--disjointify"]) == EXIT_OK
+        assert stdout_json(capsys)["ok"] is True
+        assert len(checked) == 2
+
+    def test_disjointify_leaves_a_stray_id_to_the_check(self, tmp_path, capsys):
+        # 6 is past the last location, and is the id the copy of red 1 would take
+        inst = line_instance([0], [10, 20, 25], [30, 40], k_r=2, k_b=1)
+        ipath = put_instance(tmp_path, inst)
+        spath = put_solution(tmp_path, Solution(R={1, 6}, B={4}), "s.json")
+        opath = put_solution(tmp_path, Solution(R={1, 2}, B={5}), "o.json")
+        assert main(["decompose", ipath, spath, opath, "--disjointify"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: R contains non-red locations [6]")
 
     def test_overlap_without_flag_writes_nothing(self, tmp_path, capsys):
         inst = line_instance([0], [10, 20], [30, 40], k_r=1, k_b=1)

@@ -99,7 +99,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("batch", [1, 3, 7])
     def test_small_batches_agree_with_naive(self, batch, monkeypatch):
         # chunks end inside and across subset lists, so ties span chunks
-        monkeypatch.setattr(exact, "_BATCH", batch)
+        monkeypatch.setattr(exact, "_block_moves", lambda n_clients: batch)
         rng = random.Random(0xBA7C + batch)
         cases = [random_sized_grid(rng, max_clients=6, max_per_colour=5) for _ in range(40)]
         cases += [

@@ -1,5 +1,6 @@
 """Worst-case family: construction, closed forms, and verification."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -201,6 +202,16 @@ class TestVerify:
         gap = replace(gap, instance=replace(gap.instance, space=space))
         assert evaluate(gap.instance, gap.global_solution).total != lower_bound(gap.instance)
         assert verify(gap).methods["global_is_optimum"] == "lower bound"
+
+    def test_float_table_report_formats_its_ratio(self):
+        gap = build(GapParams(p=1, ell=2))
+        space = MetricSpace(gap.instance.space.dist * 0.1)
+        report = verify(replace(gap, instance=replace(gap.instance, space=space)))
+        doc = report.to_doc()
+        assert isinstance(report.local_cost, float)
+        assert doc["ratio"] == repr(report.local_cost / report.global_cost)
+        assert float(doc["ratio"]) == pytest.approx(float(Fraction(*expected_costs(gap.params))))
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_oversized_optimum_check_is_skipped_not_failed(self):
         report = verify(worse_reference(build(GapParams(p=1, ell=20))))

@@ -7,6 +7,7 @@ whenever no competing delta or acceptance boundary lies that close.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ import rbmedian.local_search as ls
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
 from oracle import delta_cost, oracle_accepts, oracle_moves, oracle_pick
 from rbmedian.exact import is_local_opt
-from rbmedian.instance import Solution, gen_euclidean
+from rbmedian.instance import Solution, evaluate, gen_euclidean
 from rbmedian.local_search import SearchConfig
 
 FLOAT_RTOL = 1e-9
@@ -117,12 +118,42 @@ def check_against_oracle(inst, sol, p):
         assert same(verdict.witness_delta, moves[pick][1])
 
 
-@pytest.fixture(params=[None, 3], ids=["batch-default", "batch-3"])
+# Moves per block, each forcing a different split of the reference group
+# in test_block_sizes_force_each_split (and a mix of them in the corpora).
+BLOCK_SPLITS = {
+    None: [54],  # the whole group in one block
+    2: [2, 1] * 18,  # within the open-blue axis
+    3: [3] * 18,  # one close-blue set per block
+    6: [6, 3] * 6,  # across close-blue sets
+    27: [27, 27],  # across red states, against the whole blue-state table
+}
+
+
+@pytest.fixture(params=list(BLOCK_SPLITS), ids=lambda size: f"batch-{size or 'default'}")
 def batch(request, monkeypatch):
-    """Run with the shipped batch size, and with one small enough that
-    blocks split both across and within rows."""
+    """Run with the shipped block size, and with ones small enough that
+    blocks split within and across each axis of the canonical order."""
     if request.param is not None:
-        monkeypatch.setattr(ls, "_BATCH", request.param)
+        monkeypatch.setattr(ls, "_block_moves", lambda n_clients: request.param)
+    return request.param
+
+
+def test_block_sizes_force_each_split(batch):
+    # group (a, b) = (1, 1): 2 close_red x 3 open_red x 3 close_blue x 3 open_blue
+    inst = line_instance([0, 13, 26], [1, 5, 9, 14, 20], [3, 8, 12, 17, 22, 25], k_r=2, k_b=3)
+    sol = Solution(R={3, 4}, B={8, 9, 10})
+    sizes = []
+
+    def record(deltas):
+        sizes.append(len(deltas))
+        return np.zeros(len(deltas), dtype=bool)
+
+    assignment = evaluate(inst, sol)
+    assert ls._scan(inst, assignment, ls._swap_groups(inst, sol, 1), record) is None
+    assert sum(sizes) == 9 + 6 + 54  # groups (0, 1), (1, 0), (1, 1)
+    ends = np.cumsum(sizes).tolist()
+    assert sizes[ends.index(15) + 1 :] == BLOCK_SPLITS[batch]
+    check_against_oracle(inst, sol, 1)
 
 
 def test_seeded_integer_corpus(batch):
@@ -214,3 +245,19 @@ def test_delta_cost_matches_oracle_move_by_move():
         assignment, moves = oracle_moves(inst, sol, 2)
         for mv, want in moves:
             assert delta_cost(inst, assignment, mv) == want
+
+
+def test_scan_memory_is_bounded():
+    # One colour, 72,144 moves at p=2: the scan holds each colour's close-set
+    # and open-set minima plus a block, never a table of every state.
+    inst = gen_euclidean(100, 0, 80, 0, 8, seed=1)
+    sol = ls._random_solution(inst, 0)
+    assignment = evaluate(inst, sol)
+    assert ls.neighborhood_size(inst, 2) == 72144
+    tracemalloc.start()
+    try:
+        ls._scan(inst, assignment, ls._swap_groups(inst, sol, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
