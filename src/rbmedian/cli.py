@@ -15,7 +15,6 @@ import io
 import json
 import sys
 import time
-from itertools import chain, islice
 from pathlib import Path
 
 from .decomposition import decompose
@@ -200,7 +199,7 @@ def run_experiment(spec: dict, out_stream) -> list:
 
     Row order is instance-major, then p, then seed: fixed by the spec, so
     the result columns are reproducible run to run (wall_time_s is not).
-    An error in the spec, its search settings or its instance source is
+    An error in the spec, its search settings or any of its instances is
     raised before anything is written. An optimum refused by opt_cap
     lands in the error column and the sweep continues.
     """
@@ -215,14 +214,13 @@ def run_experiment(spec: dict, out_stream) -> list:
             _typed(value, (int,), f"{key!r} must hold integers")
     configs = [(p, seed, SearchConfig(p=p, epsilon=epsilon, seed=seed))
                for p in p_values for seed in seeds]
-    instances = _experiment_instances(spec)
-    first = list(islice(instances, 1))  # surfaces the source section's errors
+    instances = list(_experiment_instances(spec))  # every entry parsed before any output
 
     out_stream.write(f"# schema: {EXPERIMENT_CSV_SCHEMA}\n")
     writer = csv.DictWriter(out_stream, fieldnames=_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     rows = []
-    for name, inst in chain(first, instances):
+    for name, inst in instances:
         opt_cost, opt_err = None, None
         try:
             opt_cost = brute_force_opt(inst, cap=opt_cap).cost

@@ -179,14 +179,7 @@ def make_groups(phi: PhiMap, colours: dict) -> list:
         members = frozenset([rep]) | frozenset(mine) | frozenset(fill)
         blue_ref = sum(1 for o in mine if colours[o] == BLUE)
         blue_cand = (1 if rep_col == BLUE else 0) + sum(1 for f in fill if colours[f] == BLUE)
-        groups.append(
-            Group(
-                members=members,
-                representative=rep,
-                kind=kind,
-                blue_deficiency=blue_ref - blue_cand,
-            )
-        )
+        groups.append(Group(members, rep, kind, blue_deficiency=blue_ref - blue_cand))
     leftover = pools[RED] or pools[BLUE]
     if leftover:
         raise InternalInvariantError(
@@ -469,11 +462,6 @@ def decompose(inst: Instance, s_sol: Solution, o_sol: Solution) -> Decomposition
     classes = classify(phi, colours)
     groups = make_groups(phi, colours)
     blocks = make_blocks(groups)
-    return DecompositionReport(
-        phi=phi,
-        classes=classes,
-        groups=groups,
-        blocks=blocks,
-        block_report=check_block_properties(blocks, phi, classes, colours),
-        bounds_report=check_standard_bounds(inst, a_s, a_o, phi),
-    )
+    return DecompositionReport(phi, classes, groups, blocks,
+                               check_block_properties(blocks, phi, classes, colours),
+                               check_standard_bounds(inst, a_s, a_o, phi))

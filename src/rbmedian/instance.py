@@ -74,8 +74,8 @@ class Instance:
         if self.k_r + self.k_b < 1:
             raise InstanceError("at least one facility must be opened: k_r + k_b >= 1")
         if self.space.integral:
-            # every cost sums at most one entry per client in int64
-            top = int(self.space.dist.max())
+            # every cost sums one facility-row entry per client in int64
+            top = int(self.space.dist[list(self.red + self.blue)].max(initial=0))
             if top * len(self.clients) >= 2**63:
                 raise InstanceError(
                     f"integer distances up to {top} over {len(self.clients)} clients can sum "
@@ -277,6 +277,7 @@ def parse(data) -> Instance:
     metric_doc = _require(doc, "metric")
     if not isinstance(metric_doc, dict):
         raise FormatError("'metric' must be an object")
+    roles = {key: _int_list(doc, key) for key in ("clients", "red", "blue")}
 
     if "matrix" in metric_doc:
         matrix = metric_doc["matrix"]
@@ -284,7 +285,7 @@ def parse(data) -> Instance:
             not isinstance(r, list) or len(r) != n for r in matrix
         ):
             raise FormatError(f"metric matrix must be {n}x{n}")
-        space = from_matrix(matrix)
+        space = from_matrix(matrix, roles["red"] + roles["blue"])
     elif "graph" in metric_doc:
         graph = metric_doc["graph"]
         if not isinstance(graph, dict) or not isinstance(graph.get("edges"), list):
@@ -302,14 +303,8 @@ def parse(data) -> Instance:
         if type(_require(doc, key)) is not int:
             raise FormatError(f"{key!r} must be an integer, got {doc[key]!r}")
 
-    return Instance(
-        space=space,
-        clients=tuple(_int_list(doc, "clients")),
-        red=tuple(_int_list(doc, "red")),
-        blue=tuple(_int_list(doc, "blue")),
-        k_r=doc["k_r"],
-        k_b=doc["k_b"],
-    )
+    return Instance(space=space, **{key: tuple(ids) for key, ids in roles.items()},
+                    k_r=doc["k_r"], k_b=doc["k_b"])
 
 
 def serialize_solution(sol: Solution) -> bytes:

@@ -27,9 +27,6 @@ from .errors import FormatError, InputError
 # Relative slack for triangle checks on float tables.
 FLOAT_TOL = 1e-9
 
-# Full triangle validation is O(n^3); above this size it is skipped.
-TRIANGLE_CHECK_LIMIT = 512
-
 # Integer entries stay below this, so any two of them add without leaving int64.
 INT_LIMIT = 2**62
 
@@ -94,21 +91,23 @@ def _decode(rows) -> np.ndarray:
         raise FormatError(f"bad distance data: {e}") from None
 
 
-def _relax(d: np.ndarray, out: np.ndarray) -> None:
-    """out[i, j] = min(out[i, j], d[i, k] + d[k, j]) for k = 0, 1, ... in turn:
-    Floyd-Warshall when out is d, the min-plus square when out is a copy of d."""
-    for k in range(len(d)):
-        np.minimum(out, d[:, k, None] + d[None, k, :], out=out)
+def _relax(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = min(out[i, j], a[k, i] + b[k, j]) for k = 0, 1, ... in
+    turn: Floyd-Warshall when a, b and out are one symmetric table, else
+    the min-plus product if out starts as entries that some k term equals."""
+    for k in range(len(a)):
+        np.minimum(out, a[k, :, None] + b[k, None, :], out=out)
 
 
-def from_matrix(table) -> MetricSpace:
+def from_matrix(table, facilities=None) -> MetricSpace:
     """Validate a square distance table and wrap it as a MetricSpace.
 
     table is nested rows of ints, floats or decimal strings, the JSON
-    form. The triangle inequality is checked only when n <=
-    TRIANGLE_CHECK_LIMIT, with slack 0 for integer tables and FLOAT_TOL
-    for float ones. Raises MetricError with witnessing indices on the
-    first failure found.
+    form. Every entry is checked for type, finiteness, sign, symmetry and
+    the diagonal; the triangle inequality only where one end is among
+    `facilities`, ids in 0..n-1 (all locations when None), as
+    `_check_triangle` says. Raises MetricError with witnessing indices on
+    the first failure found.
     """
     arr = _decode(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -132,29 +131,45 @@ def from_matrix(table) -> MetricSpace:
         raise MetricError(
             f"integer distance {arr.max()} is not below 2^62: two could overflow int64")
 
-    if n <= TRIANGLE_CHECK_LIMIT:
-        _check_triangle(arr)
+    _check_triangle(arr, range(n) if facilities is None else facilities)
     return MetricSpace(arr)
 
 
-def _check_triangle(arr: np.ndarray) -> None:
-    """Reject the first (i, j) in row-major order with d(i, j) above
-    M[i, j] = min_k d(i, k) + d(k, j) plus slack tau * max(1, M), where tau
-    is 0 for int64 tables and FLOAT_TOL for float ones; the slack grows
-    with M, so this decides as checking every k would."""
+def _check_triangle(arr: np.ndarray, facilities) -> None:
+    """Check the entries with a facility at one end in two O(F^2 n) passes:
+    (1) d(f, g) <= d(f, x) + d(x, g) for facilities f, g, any location x;
+    (2) d(f, c) <= d(f, g) + d(g, c) for a client c, any facility g; a
+    bound M has slack tau * max(1, M), tau 0 for int64, FLOAT_TOL for
+    floats. The first failure, by pass then row-major (f, j), gets witness
+    (f, k, j), k the lowest id attaining M. The passes decide exactly
+    whether some metric contains those entries: a path through them has no
+    client-client edge, so (1) bounds one between facilities, by induction
+    over its inner facilities, and (2) one ending at a client, whose last
+    hop leaves a facility. With every location a facility, (2) is empty
+    and (1) is the full check."""
     tau = 0.0 if arr.dtype == np.int64 else FLOAT_TOL
-    via = arr.copy()
-    _relax(arr, via)
-    allowed = via + tau * np.maximum(1.0, via) if tau else via
-    bad = np.argwhere(arr > allowed)
-    if len(bad):
-        i, j = map(int, bad[0])
-        k = int(np.argmin(arr[i, :] + arr[:, j]))  # the lowest k attaining M[i, j]
-        raise MetricError(
-            f"triangle violation at ({i}, {j}): {arr[i, j]} > "
-            f"{arr[i, k]} + {arr[k, j]} via {k}",
-            witness=(i, k, j),
-        )
+    stray = [f for f in facilities if not 0 <= f < len(arr)]
+    if stray:  # numpy would wrap a negative id to a real row
+        raise MetricError(f"facility ids {stray} are outside 0..{len(arr) - 1}")
+    is_facility = np.zeros(len(arr), dtype=bool)
+    is_facility[list(facilities)] = True
+    fac, cli = np.flatnonzero(is_facility), np.flatnonzero(~is_facility)
+    to_fac = arr[:, fac]  # d(x, f), a row per location
+    ff, fc = to_fac[fac], arr[np.ix_(fac, cli)]
+    for entries, col_ids, k_ids, a, b in ((ff, fac, np.arange(len(arr)), to_fac, to_fac),
+                                          (fc, cli, fac, ff, fc)):
+        via = entries.copy()  # the k = f term equals the entry, so via is the 2-hop minimum
+        _relax(a, b, via)
+        allowed = via + tau * np.maximum(1.0, via) if tau else via
+        bad = np.argwhere(entries > allowed)
+        if len(bad):
+            r, c = map(int, bad[0])
+            i, j, k = int(fac[r]), int(col_ids[c]), int(k_ids[np.argmin(a[:, r] + b[:, c])])
+            raise MetricError(
+                f"triangle violation at ({i}, {j}): {arr[i, j]} > "
+                f"{arr[i, k]} + {arr[k, j]} via {k}",
+                witness=(i, k, j),
+            )
 
 
 def from_graph(n: int, edges) -> MetricSpace:
@@ -189,5 +204,5 @@ def from_graph(n: int, edges) -> MetricSpace:
     np.minimum.at(dist, (v, u), lengths)
     np.fill_diagonal(dist, 0)
     # Every entry is at most the sentinel, below 2^62 for integers, so no sum leaves int64.
-    _relax(dist, dist)
+    _relax(dist, dist, dist)
     return MetricSpace(dist)

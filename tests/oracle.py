@@ -11,6 +11,8 @@ set's blue imbalance straight from the two solutions.
 `reference_decode` and `reference_triangle` are the entry-by-entry
 decoder and the k-major triangle check that `metric` used before it
 decoded a table in one step and checked it against the min-plus square.
+`reference_facility_check` decides the facility-rows check from its
+definition, shortest paths over the entries with a facility at one end.
 `reference_make_groups` and `reference_make_blocks` are the grouping
 and block assembly that `decomposition` used before one filler rule
 replaced the class-driven fallback cascade.
@@ -188,6 +190,21 @@ def violating_pairs(arr: np.ndarray, tau: float) -> np.ndarray:
         via = arr[:, k, None] + arr[None, k, :]
         mask |= arr > (via + tau * np.maximum(1.0, via) if tau else via)
     return mask
+
+
+def reference_facility_check(arr: np.ndarray, facilities, tau: float) -> bool:
+    """Whether every entry of arr with one of facilities at an end is
+    within the relative slack of its shortest path in the graph of those
+    entries: Floyd-Warshall with the client-client entries left out.
+    Paths are summed in float64, exactly for the small integers tested."""
+    fac = np.zeros(len(arr), dtype=bool)
+    fac[list(facilities)] = True
+    readable = fac[:, None] | fac[None, :]
+    path = np.where(readable, arr.astype(np.float64), np.inf)
+    for k in range(len(arr)):
+        path = np.minimum(path, path[:, k, None] + path[None, k, :])
+    allowed = path + tau * np.maximum(1.0, path) if tau else path
+    return not (readable & (arr > allowed)).any()
 
 
 @dataclass(eq=False)

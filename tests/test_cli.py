@@ -225,6 +225,22 @@ class TestBadDistanceData:
         assert "malformed experiment spec" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key, message", [
+        ("clients", "clients/red/blue must cover exactly 0..2"),  # clients index no table
+        ("red", "facility ids [{bad}] are outside 0..2"),
+        ("blue", "facility ids [{bad}] are outside 0..2"),
+    ], ids=["clients", "red", "blue"])
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["minus-1", "n"])
+    def test_role_id_outside_the_table(self, tmp_path, capsys, key, message, bad):
+        path = Path(write_doc(tmp_path, {"matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}, 3))
+        doc = json.loads(path.read_text())
+        doc[key] = [bad]  # -1 would wrap to the last row in numpy; 3 would not index at all
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(bad=bad))
+
 
 class TestVerify:
     def test_optimal_solution_passes(self, tmp_path, capsys):
@@ -468,6 +484,17 @@ class TestExperiment:
         spec = self.make_spec(tmp_path, {"corpus": str(corpus)})
         assert main(["experiment", "--spec", spec]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: b.json: malformed instance document")
+
+    def test_bad_later_corpus_entry_writes_nothing(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.json").write_bytes(serialize(grid_instance(random.Random(5), 4, 2, 2, 1, 1)))
+        (corpus / "b.json").write_text("{bad")
+        spec = self.make_spec(tmp_path, {"corpus": str(corpus)})
+        assert main(["experiment", "--spec", spec]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: b.json: ")
 
     def test_empty_corpus_gives_header_only(self, tmp_path, capsys):
         corpus = tmp_path / "empty"

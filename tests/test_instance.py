@@ -88,6 +88,21 @@ class TestInstanceValidation:
         # one client fewer stays below the bound
         Instance(space, clients=(0, 1, 2), red=(3, 4), blue=(5,), k_r=1, k_b=1)
 
+    def test_overflow_guard_reads_facility_rows(self):
+        # 4 clients, so a cost holding one entry of 2^61 would reach 2^63
+        def doc(*pairs):
+            dist = np.ones((6, 6), dtype=np.int64)
+            np.fill_diagonal(dist, 0)
+            for i, j in pairs:
+                dist[i, j] = dist[j, i] = 2**61
+            return json.dumps({"n": 6, "metric": {"matrix": dist.tolist()}, "clients": [0, 1, 2, 3],
+                               "red": [4], "blue": [5], "k_r": 1, "k_b": 1})
+        # a client-client entry is in no cost
+        assert parse(doc((0, 1))).space.dist[0, 1].item() == 2**61
+        # in both facility rows, so that d(4, 0) <= d(4, 5) + d(5, 0) still holds
+        with pytest.raises(InstanceError, match=r"2\^63"):
+            parse(doc((4, 0), (5, 0)))
+
     def test_budget_over_pool_rejected(self):
         space = MetricSpace(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(InstanceError) as exc:

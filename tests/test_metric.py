@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import grid_instance
-from oracle import reference_decode, reference_triangle, violating_pairs
-from rbmedian import metric
-from rbmedian.instance import FormatError, gen_euclidean, serialize
+from oracle import (reference_decode, reference_facility_check, reference_triangle,
+                    violating_pairs)
+from rbmedian.instance import FormatError, gen_euclidean, parse, serialize
 from rbmedian.metric import (
     FLOAT_TOL,
     MetricError,
@@ -66,13 +66,20 @@ class TestFromMatrix:
         with pytest.raises(MetricError):
             from_matrix([[0, 1]])
 
-    def test_triangle_check_runs_up_to_the_size_limit(self, monkeypatch):
-        monkeypatch.setattr(metric, "TRIANGLE_CHECK_LIMIT", 3)
-        bad = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
-        with pytest.raises(MetricError, match="triangle violation"):
-            from_matrix(bad)
-        space = from_matrix([row + [2] for row in bad] + [[2, 2, 2, 0]])
-        assert space.n == 4 and space.dist[0, 2].item() == 3
+    def test_facility_row_violation_found_at_513_locations(self):
+        # the check runs at every size, 513 locations included
+        rng = np.random.default_rng(513)
+        pts = rng.integers(0, 100, size=(513, 2))
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)
+        f, c = 500, 17
+        others = np.setdiff1d(np.arange(493, 513), [f])  # the other 9 red and 10 blue
+        via = dist[f, others] + dist[others, c]
+        dist[f, c] = dist[c, f] = via.min() + 1
+        doc = {"n": 513, "metric": {"matrix": dist.tolist()}, "clients": list(range(493)),
+               "red": list(range(493, 503)), "blue": list(range(503, 513)), "k_r": 1, "k_b": 1}
+        with pytest.raises(MetricError, match="triangle violation at \\(500, 17\\)") as exc:
+            parse(json.dumps(doc))
+        assert exc.value.witness == (f, int(others[np.argmin(via)]), c)
 
     def test_float_tolerance_accepts_tiny_violations(self):
         def table(eps):
@@ -329,6 +336,84 @@ class TestTriangleOracle:
             d = d * rng.uniform(0.5, 2.0)
             d = np.triu(d, 1) + np.triu(d, 1).T
         check_witness(d)
+
+
+def planted_roles_table(rng, floats):
+    """(table, facilities): Manhattan distances between grid points, halved
+    for floats so that every sum stays exact, over 1-12 clients and 1-4
+    facilities of each colour at shuffled ids, with one entry at a
+    facility-facility, facility-client or client-client position set at,
+    above or below its shortest path through the other entries."""
+    n_clients = rng.randint(1, 12)
+    n = n_clients + rng.randint(1, 4) + rng.randint(1, 4)
+    pts = [(rng.randrange(20), rng.randrange(20)) for _ in range(n)]
+    dist = np.array([[abs(ax - bx) + abs(ay - by) for bx, by in pts] for ax, ay in pts])
+    dist = dist / 2 if floats else dist
+    facilities = rng.sample(range(n), n - n_clients)
+    fac = set(facilities)
+    ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kind = rng.choice(["ff", "fc", "cc"])
+    want = {"ff": 2, "fc": 1, "cc": 0}[kind]
+    spots = [(i, j) for i, j in ends if (i in fac) + (j in fac) == want]
+    if spots:
+        i, j = rng.choice(spots)
+        path = dist.astype(np.float64)
+        path[i, j] = path[j, i] = np.inf
+        for k in range(n):
+            path = np.minimum(path, path[:, k, None] + path[None, k, :])
+        step = 0.5 if floats else 1
+        top = path[i, j] if path[i, j] < np.inf else dist.max() * 2
+        value = rng.choice([top, top + step, top + 7 * step, top / 2, 0])
+        dist[i, j] = dist[j, i] = value
+    return dist, facilities
+
+
+class TestFacilityRows:
+    @pytest.mark.parametrize("floats", [False, True])
+    def test_planted_corpus_matches_shortest_paths(self, floats):
+        rng = random.Random(0xFAC + floats)
+        rejected = accepted = 0
+        for _ in range(400):
+            dist, facilities = planted_roles_table(rng, floats)
+            tau = slack(dist)
+            if reference_facility_check(dist, facilities, tau):
+                from_matrix(dist.tolist(), facilities)
+                accepted += 1
+                continue
+            with pytest.raises(MetricError) as exc:
+                from_matrix(dist.tolist(), facilities)
+            i, k, j = exc.value.witness
+            via = dist[i, k] + dist[k, j]
+            assert dist[i, j] > (via + tau * max(1.0, via) if tau else via)
+            assert i in facilities and (j in facilities or k in facilities)
+            rejected += 1
+        assert rejected > 100 and accepted > 100
+
+    def test_client_client_entries_are_not_triangle_checked(self):
+        table = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]  # d(0, 2) > d(0, 1) + d(1, 2)
+        assert from_matrix(table, [1]).dist[0, 2].item() == 3  # 0 and 2 are clients
+        with pytest.raises(MetricError) as exc:
+            from_matrix(table, [0, 1])
+        assert exc.value.witness == (0, 1, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_facility_ids_outside_the_table_rejected(self, bad):
+        with pytest.raises(MetricError, match=r"facility ids \[-?\d\] are outside 0\.\.1"):
+            from_matrix([[0, 1], [1, 0]], [0, bad])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_location_a_facility_is_the_full_check(self, seed):
+        rng = random.Random(seed)
+        dist, _ = planted_roles_table(rng, seed % 2)
+        outcomes = []
+        for facilities in (None, range(len(dist))):
+            try:
+                from_matrix(dist.tolist(), facilities)
+                outcomes.append(None)
+            except MetricError as e:
+                outcomes.append((str(e), e.witness))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (reference_triangle(dist, slack(dist)) is None)
 
 
 class TestInt64Bounds:
