@@ -9,18 +9,19 @@ this module (best-improvement tie-breaks, first-improvement selection,
 witness reporting) is stated against that order, which `_swap_groups`
 alone defines.
 
-Each swap size (a, b) is priced as one outer minimum over (close_red,
-open_red, close_blue, open_blue). Per colour and swap size, the scan
-computes once, when first needed, the columnwise minimum over what each
-close set leaves open and over each open set; a state (close, open) is the
-minimum of the two, and a move's new distances are the minimum of its red
-and blue states. Blocks are contiguous runs of the canonical order, cut
-from broadcast slices of those minima and holding about _BLOCK_ENTRIES
-(moves x clients) entries, so the working arrays stay in cache. A colour's
-whole state table is built once when it fits in a block; when the blue one
-does not, each red state is folded into the blue close-set minima instead.
-A delta is the sum of new minus current distance over one contiguous client
-row; integer metrics stay in int64, so their deltas are exact.
+A move's new distances are the columnwise minimum of its red and blue
+states: what each colour leaves open after a (close set, open set) swap.
+Blocks are contiguous runs of the canonical order of about _BLOCK_ENTRIES
+(moves x clients) entries, so the working arrays stay in cache. A colour
+whose states fit in a block gets its whole state table at once; with both
+tables, runs of groups whose red against blue states fit in a block are
+priced as that one product, put in canonical order by a cached
+permutation. Other groups are priced one by one from minima over what
+each close set leaves open and over each open set; a blue table too large
+for a block is never built, each red state being folded into the blue
+close-set minima. A delta is the sum of new minus current distance over
+one contiguous client row; integer metrics stay in int64, so their deltas
+are exact.
 
 With epsilon > 0 a move is accepted only if it cuts cost by a relative
 (epsilon / n) factor, which bounds the number of iterations; epsilon = 0
@@ -31,9 +32,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -160,9 +163,14 @@ def _client_rows(inst: Instance):
     return rows, np.iinfo(rows.dtype).max if inst.space.integral else np.inf
 
 
-def _subset_minima(rows: np.ndarray, combos, fill=None) -> np.ndarray:
-    """Columnwise minimum of rows[c] per combination c; `fill` where c is empty."""
-    return rows[np.asarray(combos, dtype=np.intp)].min(axis=1, initial=fill)
+def _subset_minima(rows: np.ndarray, combos, fill) -> np.ndarray:
+    """Columnwise minimum of rows[c] per combination c, a running minimum
+    over c's members; `fill` where c is empty."""
+    combos = np.asarray(combos, dtype=np.intp)
+    out = rows.take(combos[:, 0], axis=0) if combos.shape[1] else np.full((len(combos), rows.shape[1]), fill)
+    for column in combos.T[1:]:
+        np.minimum(out, rows.take(column, axis=0), out=out)
+    return out
 
 
 def _states(kept, added) -> np.ndarray:
@@ -202,55 +210,117 @@ def _blocks(red, blue, per):
                 yield r, b0, b_rows[None]
 
 
+@lru_cache(maxsize=64)
+def _open_after(k: int, spare: int, sizes: tuple) -> np.ndarray:
+    """The k positions, among a colour's open then spare ids, that each
+    state of its sides of swap sizes `sizes` leaves open, side after side."""
+    opened, closed = range(k), range(k, k + spare)
+    sets = [[i for i in opened if i not in c] + list(o) for a in sizes
+            for c in combinations(opened, a) for o in combinations(closed, a)]
+    table = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+    table.flags.writeable = False
+    return table
+
+
+class _Colour:
+    """A colour's sides in a scan, numbered as its groups first name them,
+    and their states, numbered side after side. The whole state table is
+    built when it fits in a block, else each side's minima when needed."""
+
+    def __init__(self, rows, fill, chosen, pool, sides, per):
+        self.rows, self.fill, self.chosen, self.sides, self.per = rows, fill, chosen, sides, per
+        self.first = list(accumulate((len(cs) * len(os) for cs, os in sides), initial=0))
+        self.at, self.memo, self.table = {id(side): i for i, side in enumerate(sides)}, {}, None
+        if self.first[-1] <= per:
+            opened, spare = sorted(chosen), sorted(pool - chosen)
+            sets = _open_after(len(opened), len(spare), tuple(len(cs[0]) for cs, _ in sides))
+            self.table = _subset_minima(rows, np.array(opened + spare, dtype=np.intp)[sets], fill)
+
+    def tables(self, i, j):
+        """(kept, added, states) of sides i to j - 1 for `_blocks`: slices of
+        the whole table, or one side's minima and its states if they fit."""
+        if self.table is not None:
+            return None, None, self.table[self.first[i] : self.first[j]]
+        if i not in self.memo:
+            (closes, opens), rows, fill = self.sides[i], self.rows, self.fill
+            kept = _subset_minima(rows, [[f for f in self.chosen if f not in c] for c in closes], fill)
+            added = _subset_minima(rows, opens, fill)
+            self.memo[i] = (kept, added, _states(kept, added) if len(closes) * len(opens) <= self.per else None)
+        return self.memo[i]
+
+    def pick(self, state):
+        """(close set, open set) of state number `state`."""
+        i = bisect_right(self.first, state) - 1
+        (closes, opens), at = self.sides[i], state - self.first[i]
+        return closes[at // len(opens)], opens[at % len(opens)]
+
+
+@lru_cache(maxsize=64)
+def _slab_order(red_first: tuple, blue_first: tuple, pairs: tuple) -> np.ndarray:
+    """Positions of the moves of groups (red side, blue side) `pairs`, in
+    canonical order, among pairs[0]'s red states on against all blue ones."""
+    lo = red_first[pairs[0][0]]
+    order = np.concatenate([((np.arange(red_first[r], red_first[r + 1]) - lo)[:, None] * blue_first[-1]
+                             + np.arange(blue_first[b], blue_first[b + 1])).ravel() for r, b in pairs])
+    order.flags.writeable = False
+    return order
+
+
 def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
-    """Price the moves of `groups` block by block, in canonical order.
+    """Price the moves of `groups`, as `_swap_groups` yields them for this
+    assignment, block by block in canonical order.
 
     `accept` maps an array of deltas to a boolean mask. With it, the first
     move that passes is returned; without it, the move of least delta,
     ties to the lowest index. Returns (canonical index, move, delta), or
     None when no move qualifies.
     """
+    groups = list(groups)
     rows, fill = _client_rows(inst)
     cur = assignment.distance
     per = _block_moves(len(cur))
-    memo = {}  # id(side) -> (side, kept, added, states): per colour and swap size
-
-    def minima(side, chosen):
-        if id(side) not in memo:
-            closes, opens = side
-            kept = _subset_minima(rows, [[f for f in chosen if f not in c] for c in closes], fill)
-            added = _subset_minima(rows, opens, fill)
-            fits = len(closes) * len(opens) <= per
-            memo[id(side)] = (side, kept, added, _states(kept, added) if fits else None)
-        return memo[id(side)][1:]
-
-    best = None
-    base = 0
-    for red_side, blue_side in groups:
-        red = minima(red_side, assignment.solution.R)
-        blue = minima(blue_side, assignment.solution.B)
-        n_or, n_ob = len(red[1]), len(blue[1])
-        n_blue = len(blue[0]) * n_ob
-        for r0, b0, new in _blocks(red, blue, per):
+    sol = assignment.solution
+    red, blue = (_Colour(rows, fill, chosen, pool, list({id(g[c]): g[c] for g in groups}.values()), per)
+                 for c, chosen, pool in ((0, sol.R, inst.red_set), (1, sol.B, inst.blue_set)))
+    pairs = [(red.at[id(r)], blue.at[id(b)]) for r, b in groups]
+    best, done, i = None, 0, 0  # best: (canonical index, delta, red state, blue state)
+    while i < len(pairs) and not (accept and best):
+        (r, b), j, order = pairs[i], i, None
+        # with both whole tables, a run of groups whose red states against
+        # all blue states fit is one block, put in canonical order by `order`
+        while (red.table is not None and blue.table is not None and j < len(pairs)
+               and (j == i or pairs[j][0] >= pairs[j - 1][0])
+               and (red.first[pairs[j][0] + 1] - red.first[r]) * blue.first[-1] <= per):
+            j += 1
+        if j > i:
+            order = _slab_order(tuple(red.first), tuple(blue.first), tuple(pairs[i:j]))
+            sides = red.tables(r, pairs[j - 1][0] + 1), blue.tables(0, len(blue.sides))
+        else:
+            j, sides = i + 1, (red.tables(r, r + 1), blue.tables(b, b + 1))
+        b_lo = blue.first[b if order is None else 0]
+        for r0, b0, new in _blocks(*sides, per):
             new -= cur
             deltas = new.sum(axis=-1).ravel()
+            if order is not None:
+                deltas = deltas.take(order)
             if accept is None:
                 q = int(deltas.argmin())
-                if best is not None and not deltas[q] < best[2]:
-                    continue
+                hit = best is None or deltas[q] < best[1]
             else:
                 hits = accept(deltas)
                 q = int(hits.argmax())
-                if not hits[q]:
-                    continue
-            r, b = r0 + q // new.shape[1], b0 + q % new.shape[1]
-            (i_cr, i_or), (i_cb, i_ob) = divmod(r, n_or), divmod(b, n_ob)
-            move = SwapMove(red_side[0][i_cr], red_side[1][i_or], blue_side[0][i_cb], blue_side[1][i_ob])
-            best = (base + r * n_blue + b, move, deltas[q].item())
-            if accept is not None:
-                return best
-        base += len(red[0]) * n_or * n_blue
-    return best
+                hit = bool(hits[q])
+            if hit:
+                at = divmod(q if order is None else int(order[q]), new.shape[1])
+                best = (done + q, deltas[q].item(), red.first[r] + r0 + at[0], b_lo + b0 + at[1])
+                if accept is not None:
+                    break
+            done += len(deltas)
+        i = j
+    if best is None:
+        return None
+    index, delta, r, b = best
+    return index, SwapMove(*red.pick(r), *blue.pick(b)), delta
 
 
 def _random_solution(inst: Instance, seed: int) -> Solution:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -105,9 +105,26 @@ def neighborhood(inst: Instance, sol: Solution, p: int):
 
 def delta_cost(inst: Instance, assignment: Assignment, move: SwapMove):
     """Cost change of one move, priced by the search's own kernel: `_scan`
-    over a group holding just that move."""
-    group = (([move.close_red], [move.open_red]), ([move.close_blue], [move.open_blue]))
-    return _scan(inst, assignment, [group])[2]
+    over the move's swap-size group, built here so that the identity move,
+    which no neighborhood holds, is priced too, accepting that move alone.
+    Each side of `move` may list its ids in any order."""
+    def side(chosen, pool, closes):
+        return (list(combinations(sorted(chosen), len(closes))),
+                list(combinations(sorted(pool - chosen), len(closes))))
+
+    sol = assignment.solution
+    group = (side(sol.R, inst.red_set, move.close_red), side(sol.B, inst.blue_set, move.close_blue))
+    move = SwapMove(*(tuple(sorted(ids)) for ids in vars(move).values()))
+    target = [SwapMove(*mv) for mv in product(*group[0], *group[1])].index(move)
+    seen = 0
+
+    def only(deltas):
+        nonlocal seen
+        hits = np.arange(seen, seen + len(deltas)) == target
+        seen += len(deltas)
+        return hits
+
+    return _scan(inst, assignment, [group], only)[2]
 
 
 def deficiency(members, s_sol: Solution, o_sol: Solution) -> int:

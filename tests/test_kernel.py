@@ -120,8 +120,10 @@ def check_against_oracle(inst, sol, p):
 
 # Moves per block, each forcing a different split of the reference group
 # in test_block_sizes_force_each_split (and a mix of them in the corpora).
+# At the shipped size the whole neighborhood is one block: 7 red states
+# against 10 blue states, less the move that swaps nothing.
 BLOCK_SPLITS = {
-    None: [54],  # the whole group in one block
+    None: [69],  # every group in one block
     2: [2, 1] * 18,  # within the open-blue axis
     3: [3] * 18,  # one close-blue set per block
     6: [6, 3] * 6,  # across close-blue sets
@@ -152,7 +154,7 @@ def test_block_sizes_force_each_split(batch):
     assert ls._scan(inst, assignment, ls._swap_groups(inst, sol, 1), record) is None
     assert sum(sizes) == 9 + 6 + 54  # groups (0, 1), (1, 0), (1, 1)
     ends = np.cumsum(sizes).tolist()
-    assert sizes[ends.index(15) + 1 :] == BLOCK_SPLITS[batch]
+    assert (sizes if batch is None else sizes[ends.index(15) + 1 :]) == BLOCK_SPLITS[batch]
     check_against_oracle(inst, sol, 1)
 
 
@@ -260,4 +262,44 @@ def test_scan_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2**20
+    assert peak <= 6 * 2**20
+
+
+@pytest.mark.parametrize("p, moves", [(1, 120), (2, 440)])
+def test_sweep_shape_is_one_block_in_canonical_order(p, moves):
+    # 14 clients, 7 red, 7 blue, k 2/2: every red state against every blue
+    # state fits one block; accept sees the deltas once, canonical order
+    for seed in range(3):
+        inst = grid_instance(random.Random(seed), 14, 7, 7, 2, 2)
+        sol = random_feasible(random.Random(seed), inst)
+        calls = []
+
+        def record(deltas):
+            calls.append(deltas.tolist())
+            return np.zeros(len(deltas), dtype=bool)
+
+        assignment, want = oracle_moves(inst, sol, p)
+        assert ls._scan(inst, assignment, ls._swap_groups(inst, sol, p), record) is None
+        assert calls == [[delta for _mv, delta in want]] and len(want) == moves
+
+
+def test_per_group_blocks_give_the_same_outputs(monkeypatch):
+    # Blocks too small for any run of groups (the blue table alone has 11 or
+    # 21 states) take the per-group path; outputs must not change at all.
+    cases = [(gen_euclidean(14, 7, 7, 2, 2, box_size=10.0, seed=seed), seed) for seed in range(4)]
+    cases += [(grid_instance(random.Random(seed), 14, 7, 7, 2, 2), seed) for seed in range(4)]
+
+    def outputs():
+        got = []
+        for inst, seed in cases:
+            for p in (1, 2):
+                for rule, epsilon in (("best", 0.0), ("first", 0.0), ("best", 0.3)):
+                    result = ls.run(inst, SearchConfig(p=p, rule=rule, epsilon=epsilon, seed=seed))
+                    got.append((result.trace, result.solution, result.termination))
+                verdict = is_local_opt(inst, ls._random_solution(inst, seed), p)
+                got.append((verdict.witness, verdict.witness_delta, verdict.moves_checked))
+        return got
+
+    shipped = outputs()
+    monkeypatch.setattr(ls, "_block_moves", lambda n_clients: 10)
+    assert outputs() == shipped
