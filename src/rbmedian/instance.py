@@ -153,14 +153,15 @@ def nearest(dist: np.ndarray, targets, facilities):
 def evaluate(inst: Instance, sol: Solution) -> Assignment:
     """Assign each client to its nearest open facility, ties to lowest index.
 
-    Distances are summed left to right, so a float total equals that of a
-    per-client loop bit for bit; numpy's pairwise `sum` and the builtin
-    `sum` of Python 3.12+ (compensated) round differently. Integer totals
-    are exact; with no clients the total is int 0.
+    Distances are summed by numpy's `sum` over the contiguous distance row,
+    as the swap scan sums each move's new distances, so a float total is
+    the one the scan priced, bit for bit; a per-client loop may differ in
+    the last bits. Integer totals are exact; with no clients the total is
+    int 0.
     """
     check_feasible(inst, sol)
     facility, distance = nearest(inst.space.dist, inst.clients, sol.facilities())
-    total = distance.cumsum()[-1].item() if len(distance) else 0
+    total = distance.sum().item() if len(distance) else 0
     return Assignment(solution=sol, facility=facility, distance=distance, total=total)
 
 

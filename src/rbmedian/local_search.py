@@ -19,9 +19,10 @@ priced as that one product, put in canonical order by a cached
 permutation. Other groups are priced one by one from minima over what
 each close set leaves open and over each open set; a blue table too large
 for a block is never built, each red state being folded into the blue
-close-set minima. A delta is the sum of new minus current distance over
-one contiguous client row; integer metrics stay in int64, so their deltas
-are exact.
+close-set minima. A move's new total sums its new distances over one
+contiguous client row, as `evaluate` sums a solution's, so the scan and
+the search loop see the same cost; integer metrics stay in int64, so
+their deltas are exact.
 
 With epsilon > 0 a move is accepted only if it cuts cost by a relative
 (epsilon / n) factor, which bounds the number of iterations; epsilon = 0
@@ -270,20 +271,21 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
     """Price the moves of `groups`, as `_swap_groups` yields them for this
     assignment, block by block in canonical order.
 
+    A move is priced by its new total, which `evaluate` gives the solution
+    after it bit for bit; its delta is that total minus the current one.
     `accept` maps an array of deltas to a boolean mask. With it, the first
-    move that passes is returned; without it, the move of least delta,
+    move that passes is returned; without it, the move of least new total,
     ties to the lowest index. Returns (canonical index, move, delta), or
     None when no move qualifies.
     """
     groups = list(groups)
     rows, fill = _client_rows(inst)
-    cur = assignment.distance
-    per = _block_moves(len(cur))
-    sol = assignment.solution
+    per = _block_moves(len(assignment.distance))
+    sol, total = assignment.solution, assignment.total
     red, blue = (_Colour(rows, fill, chosen, pool, list({id(g[c]): g[c] for g in groups}.values()), per)
                  for c, chosen, pool in ((0, sol.R, inst.red_set), (1, sol.B, inst.blue_set)))
     pairs = [(red.at[id(r)], blue.at[id(b)]) for r, b in groups]
-    best, done, i = None, 0, 0  # best: (canonical index, delta, red state, blue state)
+    best, done, i = None, 0, 0  # best: (canonical index, new total, red state, blue state)
     while i < len(pairs) and not (accept and best):
         (r, b), j, order = pairs[i], i, None
         # with both whole tables, a run of groups whose red states against
@@ -299,28 +301,27 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
             j, sides = i + 1, (red.tables(r, r + 1), blue.tables(b, b + 1))
         b_lo = blue.first[b if order is None else 0]
         for r0, b0, new in _blocks(*sides, per):
-            new -= cur
-            deltas = new.sum(axis=-1).ravel()
+            totals = new.sum(axis=-1).ravel()
             if order is not None:
-                deltas = deltas.take(order)
+                totals = totals.take(order)
             if accept is None:
-                q = int(deltas.argmin())
-                hit = best is None or deltas[q] < best[1]
+                q = int(totals.argmin())
+                hit = best is None or totals[q] < best[1]
             else:
-                hits = accept(deltas)
+                hits = accept(totals - total)
                 q = int(hits.argmax())
                 hit = bool(hits[q])
             if hit:
                 at = divmod(q if order is None else int(order[q]), new.shape[1])
-                best = (done + q, deltas[q].item(), red.first[r] + r0 + at[0], b_lo + b0 + at[1])
+                best = (done + q, totals[q], red.first[r] + r0 + at[0], b_lo + b0 + at[1])
                 if accept is not None:
                     break
-            done += len(deltas)
+            done += len(totals)
         i = j
     if best is None:
         return None
-    index, delta, r, b = best
-    return index, SwapMove(*red.pick(r), *blue.pick(b)), delta
+    index, new_total, r, b = best
+    return index, SwapMove(*red.pick(r), *blue.pick(b)), (new_total - total).item()
 
 
 def _random_solution(inst: Instance, seed: int) -> Solution:
@@ -338,7 +339,10 @@ def _select_move(inst, assignment, config):
     new <= (1 - epsilon/n) * current, in exact rationals for integer
     costs and in float otherwise. Strict decrease is required even at
     the threshold so traces are strictly decreasing and cost-0 states
-    cannot loop.
+    cannot loop. A delta is new - current, so its sign is that of the
+    comparison; current + delta is the new total itself whenever the new
+    total is at least half the current one (Sterbenz), which holds near
+    any bound with n >= 3, and no move exists below that.
     """
     total = assignment.total
     if config.epsilon:

@@ -65,6 +65,19 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert set(doc) == {"solution", "cost", "iterations", "trace", "termination"}
 
+    def test_float_ties_are_not_moves(self, tmp_path, capsys):
+        # Points on a line; a move that only ties the cost once priced with
+        # the sum `evaluate` uses was once accepted, giving the trace
+        # [1.9000000000000001, 1.9000000000000001].
+        xs = [2.3, 0.2, 1.6, 0.8, 0.5, 2.8, 0.2]
+        doc = {"n": 7, "metric": {"matrix": [[repr(abs(a - b)) for b in xs] for a in xs]},
+               "clients": [0, 1, 2], "red": [3, 4], "blue": [5, 6], "k_r": 1, "k_b": 1}
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--p", "1", "--seed", "4697"]) == EXIT_OK
+        out = stdout_json(capsys)
+        assert out["iterations"] == 0 and out["trace"] == [out["cost"]]
+
     def test_bad_config_is_an_input_error(self, tmp_path, capsys):
         rng = random.Random(9)
         path = put_instance(tmp_path, grid_instance(rng, 3, 2, 2, 1, 1))

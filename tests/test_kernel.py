@@ -239,6 +239,19 @@ def test_epsilon_test_is_exact_for_large_integers():
             assert ls._select_move(inst, assignment, SearchConfig(rule=rule)) is not None
 
 
+@pytest.mark.parametrize("n_clients, n_blue, k_b, p", [(14, 7, 2, 2), (120, 20, 4, 1), (200, 8, 3, 2), (1000, 20, 3, 1)])
+def test_priced_totals_are_evaluates(n_clients, n_blue, k_b, p):
+    # A delta is the priced new total minus the current one; once the move
+    # is made, `evaluate` must give that total bit for bit, whether its row
+    # sat in a whole-table block, a per-group block or a folded one.
+    inst = gen_euclidean(n_clients, 6, n_blue, 2, k_b, box_size=100.0, seed=n_clients)
+    sol = ls._random_solution(inst, 0)
+    assignment = evaluate(inst, sol)
+    for target in random.Random(n_clients).sample(range(ls.neighborhood_size(inst, p)), 12):
+        index, move, delta = kernel_move_at(inst, assignment, p, target)
+        assert evaluate(inst, ls.apply_move(sol, move)).total - assignment.total == delta
+
+
 def test_delta_cost_matches_oracle_move_by_move():
     rng = random.Random(0xDC)
     for _ in range(15):

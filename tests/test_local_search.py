@@ -4,11 +4,13 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
 from oracle import delta_cost, neighborhood
-from rbmedian.instance import Solution, evaluate
+from rbmedian.exact import is_local_opt
+from rbmedian.instance import Instance, Solution, evaluate
 from rbmedian.local_search import (
     ConfigError,
     SearchConfig,
@@ -17,6 +19,7 @@ from rbmedian.local_search import (
     neighborhood_size,
     run,
 )
+from rbmedian.metric import MetricSpace
 
 
 def random_move(rng, inst, sol):
@@ -125,6 +128,21 @@ class TestRun:
             assert all(a > b for a, b in zip(res.trace, res.trace[1:]))
             assert res.trace[-1] == res.assignment.total
             assert len(res.trace) == res.iterations + 1
+
+    def test_float_traces_strictly_decrease(self):
+        # Random float line instances, with near ties: each accepted move
+        # lowers the cost `evaluate` reports, and a stop is a local optimum.
+        rng = random.Random(0xF1A7)
+        for _ in range(300):
+            n_c, n_r, n_b = rng.randint(3, 12), rng.randint(2, 5), rng.randint(2, 5)
+            xs = [rng.randint(0, 30) / 10 for _ in range(n_c + n_r + n_b)]
+            inst = Instance(MetricSpace(np.abs(np.subtract.outer(xs, xs))), tuple(range(n_c)),
+                            tuple(range(n_c, n_c + n_r)), tuple(range(n_c + n_r, len(xs))),
+                            rng.randint(1, n_r - 1), rng.randint(1, n_b - 1))
+            config = SearchConfig(p=rng.randint(1, 2), rule=rng.choice(["best", "first"]), seed=rng.randrange(10**4))
+            result = run(inst, config)
+            assert all(a > b for a, b in zip(result.trace, result.trace[1:])), result.trace
+            assert is_local_opt(inst, result.solution, config.p).locally_optimal
 
     def test_result_is_locally_optimal(self):
         from rbmedian.exact import is_local_opt
