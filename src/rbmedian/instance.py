@@ -154,10 +154,9 @@ def evaluate(inst: Instance, sol: Solution) -> Assignment:
     """Assign each client to its nearest open facility, ties to lowest index.
 
     Distances are summed by numpy's `sum` over the contiguous distance row,
-    as the swap scan sums each move's new distances, so a float total is
-    the one the scan priced, bit for bit; a per-client loop may differ in
-    the last bits. Integer totals are exact; with no clients the total is
-    int 0.
+    as the swap scan prices a move, so a float total is the scan's bit for
+    bit (a per-client loop may differ in the last bits). Integer totals
+    are exact; with no clients the total is int 0.
     """
     check_feasible(inst, sol)
     facility, distance = nearest(inst.space.dist, inst.clients, sol.facilities())

@@ -12,17 +12,17 @@ alone defines.
 A move's new distances are the columnwise minimum of its red and blue
 states: what each colour leaves open after a (close set, open set) swap.
 Blocks are contiguous runs of the canonical order of about _BLOCK_ENTRIES
-(moves x clients) entries, so the working arrays stay in cache. A colour
-whose states fit in a block gets its whole state table at once; with both
-tables, runs of groups whose red against blue states fit in a block are
-priced as that one product, put in canonical order by a cached
-permutation. Other groups are priced one by one from minima over what
-each close set leaves open and over each open set; a blue table too large
-for a block is never built, each red state being folded into the blue
-close-set minima. A move's new total sums its new distances over one
-contiguous client row, as `evaluate` sums a solution's, so the scan and
-the search loop see the same cost; integer metrics stay in int64, so
-their deltas are exact.
+(moves x clients) entries, so the working arrays stay in cache. A run of
+groups whose red states against all blue states fit in a block is priced
+as that one product, from whole state tables built at once, and put in
+canonical order by a cached permutation. Other groups are priced one by
+one from slices of those tables, or from minima over what each close set
+leaves open and over each open set; a blue table too large for a block
+is never built, each red state being folded into the blue close-set
+minima. A move's new total sums its new distances over one contiguous
+client row, as `evaluate` sums a solution's, so the scan and the search
+loop see the same cost; integer metrics stay in int64, so their deltas
+are exact.
 
 With epsilon > 0 a move is accepted only if it cuts cost by a relative
 (epsilon / n) factor, which bounds the number of iterations; epsilon = 0
@@ -158,9 +158,10 @@ def neighborhood_size(inst: Instance, p: int) -> int:
 
 def _client_rows(inst: Instance):
     """(rows, fill): rows[f] holds location f's distance to each client,
-    in `inst.clients` order; fill, no less than any distance, is the
-    minimum over an empty set of locations."""
-    rows = inst.space.dist[:, np.asarray(inst.clients, dtype=np.intp)]
+    in `inst.clients` order, C-contiguous so that rows gather fast; fill,
+    no less than any distance, is the minimum over an empty set of
+    locations."""
+    rows = inst.space.dist.take(np.asarray(inst.clients, dtype=np.intp), axis=1)
     return rows, np.iinfo(rows.dtype).max if inst.space.integral else np.inf
 
 
@@ -168,7 +169,9 @@ def _subset_minima(rows: np.ndarray, combos, fill) -> np.ndarray:
     """Columnwise minimum of rows[c] per combination c, a running minimum
     over c's members; `fill` where c is empty."""
     combos = np.asarray(combos, dtype=np.intp)
-    out = rows.take(combos[:, 0], axis=0) if combos.shape[1] else np.full((len(combos), rows.shape[1]), fill)
+    if not combos.shape[1]:
+        return np.full((len(combos), rows.shape[1]), fill)
+    out = rows.take(combos[:, 0], axis=0)
     for column in combos.T[1:]:
         np.minimum(out, rows.take(column, axis=0), out=out)
     return out
@@ -211,7 +214,7 @@ def _blocks(red, blue, per):
                 yield r, b0, b_rows[None]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _open_after(k: int, spare: int, sizes: tuple) -> np.ndarray:
     """The k positions, among a colour's open then spare ids, that each
     state of its sides of swap sizes `sizes` leaves open, side after side."""
@@ -225,28 +228,38 @@ def _open_after(k: int, spare: int, sizes: tuple) -> np.ndarray:
 
 class _Colour:
     """A colour's sides in a scan, numbered as its groups first name them,
-    and their states, numbered side after side. The whole state table is
-    built when it fits in a block, else each side's minima when needed."""
+    and their states, numbered side after side. Each side's minima are
+    built when first needed, or sliced from the whole table once built."""
 
     def __init__(self, rows, fill, chosen, pool, sides, per):
-        self.rows, self.fill, self.chosen, self.sides, self.per = rows, fill, chosen, sides, per
+        self.rows, self.fill, self.per = rows, fill, per
+        self.chosen, self.pool, self.sides = chosen, pool, sides
         self.first = list(accumulate((len(cs) * len(os) for cs, os in sides), initial=0))
-        self.at, self.memo, self.table = {id(side): i for i, side in enumerate(sides)}, {}, None
-        if self.first[-1] <= per:
-            opened, spare = sorted(chosen), sorted(pool - chosen)
-            sets = _open_after(len(opened), len(spare), tuple(len(cs[0]) for cs, _ in sides))
-            self.table = _subset_minima(rows, np.array(opened + spare, dtype=np.intp)[sets], fill)
+        self.at = {id(side): i for i, side in enumerate(sides)}
+        self.memo, self.table = {}, None
 
-    def tables(self, i, j):
-        """(kept, added, states) of sides i to j - 1 for `_blocks`: slices of
-        the whole table, or one side's minima and its states if they fit."""
+    def whole(self):
+        """The whole state table, which must fit in a block: per state, the
+        minimum over the facilities it leaves open."""
+        if self.table is None:
+            opened, spare = sorted(self.chosen), sorted(self.pool - self.chosen)
+            sets = _open_after(len(opened), len(spare), tuple(len(cs[0]) for cs, _ in self.sides))
+            ids = np.array(opened + spare, dtype=np.intp)
+            self.table = _subset_minima(self.rows, ids[sets], self.fill)
+        return self.table
+
+    def tables(self, i):
+        """(kept, added, states) of side i for `_blocks`: its minima over what
+        each close set leaves open and over each open set, and its states if
+        they fit in a block."""
         if self.table is not None:
-            return None, None, self.table[self.first[i] : self.first[j]]
+            return None, None, self.table[self.first[i] : self.first[i + 1]]
         if i not in self.memo:
             (closes, opens), rows, fill = self.sides[i], self.rows, self.fill
             kept = _subset_minima(rows, [[f for f in self.chosen if f not in c] for c in closes], fill)
             added = _subset_minima(rows, opens, fill)
-            self.memo[i] = (kept, added, _states(kept, added) if len(closes) * len(opens) <= self.per else None)
+            fits = len(closes) * len(opens) <= self.per
+            self.memo[i] = (kept, added, _states(kept, added) if fits else None)
         return self.memo[i]
 
     def pick(self, state):
@@ -256,20 +269,20 @@ class _Colour:
         return closes[at // len(opens)], opens[at % len(opens)]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _slab_order(red_first: tuple, blue_first: tuple, pairs: tuple) -> np.ndarray:
     """Positions of the moves of groups (red side, blue side) `pairs`, in
     canonical order, among pairs[0]'s red states on against all blue ones."""
-    lo = red_first[pairs[0][0]]
-    order = np.concatenate([((np.arange(red_first[r], red_first[r + 1]) - lo)[:, None] * blue_first[-1]
+    lo, n_blue = red_first[pairs[0][0]], blue_first[-1]
+    order = np.concatenate([((np.arange(red_first[r], red_first[r + 1]) - lo)[:, None] * n_blue
                              + np.arange(blue_first[b], blue_first[b + 1])).ravel() for r, b in pairs])
     order.flags.writeable = False
     return order
 
 
 def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
-    """Price the moves of `groups`, as `_swap_groups` yields them for this
-    assignment, block by block in canonical order.
+    """Price the moves of `groups`, each whole and in the order
+    `_swap_groups` yields them for this assignment, block by block.
 
     A move is priced by its new total, which `evaluate` gives the solution
     after it bit for bit; its delta is that total minus the current one.
@@ -282,25 +295,25 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
     rows, fill = _client_rows(inst)
     per = _block_moves(len(assignment.distance))
     sol, total = assignment.solution, assignment.total
-    red, blue = (_Colour(rows, fill, chosen, pool, list({id(g[c]): g[c] for g in groups}.values()), per)
-                 for c, chosen, pool in ((0, sol.R, inst.red_set), (1, sol.B, inst.blue_set)))
+    sides = [list({id(group[c]): group[c] for group in groups}.values()) for c in (0, 1)]
+    red = _Colour(rows, fill, sol.R, inst.red_set, sides[0], per)
+    blue = _Colour(rows, fill, sol.B, inst.blue_set, sides[1], per)
     pairs = [(red.at[id(r)], blue.at[id(b)]) for r, b in groups]
     best, done, i = None, 0, 0  # best: (canonical index, new total, red state, blue state)
-    while i < len(pairs) and not (accept and best):
+    while i < len(pairs) and (accept is None or best is None):
         (r, b), j, order = pairs[i], i, None
-        # with both whole tables, a run of groups whose red states against
-        # all blue states fit is one block, put in canonical order by `order`
-        while (red.table is not None and blue.table is not None and j < len(pairs)
-               and (j == i or pairs[j][0] >= pairs[j - 1][0])
+        # a run of groups whose red states against all blue states fit in a
+        # block is one block, from whole tables, put in canonical order
+        while (j < len(pairs) and red.first[-1] <= per
                and (red.first[pairs[j][0] + 1] - red.first[r]) * blue.first[-1] <= per):
             j += 1
-        if j > i:
+        if j > i + 1:
             order = _slab_order(tuple(red.first), tuple(blue.first), tuple(pairs[i:j]))
-            sides = red.tables(r, pairs[j - 1][0] + 1), blue.tables(0, len(blue.sides))
+            r_states = red.whole()[red.first[r] : red.first[pairs[j - 1][0] + 1]]
+            tables, b_lo = ((None, None, r_states), (None, None, blue.whole())), 0
         else:
-            j, sides = i + 1, (red.tables(r, r + 1), blue.tables(b, b + 1))
-        b_lo = blue.first[b if order is None else 0]
-        for r0, b0, new in _blocks(*sides, per):
+            j, tables, b_lo = i + 1, (red.tables(r), blue.tables(b)), blue.first[b]
+        for r0, b0, new in _blocks(*tables, per):
             totals = new.sum(axis=-1).ravel()
             if order is not None:
                 totals = totals.take(order)
@@ -339,10 +352,8 @@ def _select_move(inst, assignment, config):
     new <= (1 - epsilon/n) * current, in exact rationals for integer
     costs and in float otherwise. Strict decrease is required even at
     the threshold so traces are strictly decreasing and cost-0 states
-    cannot loop. A delta is new - current, so its sign is that of the
-    comparison; current + delta is the new total itself whenever the new
-    total is at least half the current one (Sterbenz), which holds near
-    any bound with n >= 3, and no move exists below that.
+    cannot loop. A delta is new - current, so current + delta is the new
+    total itself wherever it can meet the bound (Sterbenz, for n >= 3).
     """
     total = assignment.total
     if config.epsilon:
