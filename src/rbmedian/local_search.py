@@ -234,7 +234,7 @@ class _Colour:
     def __init__(self, rows, fill, chosen, pool, sides, per):
         self.rows, self.fill, self.per = rows, fill, per
         self.chosen, self.pool, self.sides = chosen, pool, sides
-        self.first = list(accumulate((len(cs) * len(os) for cs, os in sides), initial=0))
+        self.first = tuple(accumulate((len(cs) * len(os) for cs, os in sides), initial=0))
         self.at = {id(side): i for i, side in enumerate(sides)}
         self.memo, self.table = {}, None
 
@@ -308,7 +308,7 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
                and (red.first[pairs[j][0] + 1] - red.first[r]) * blue.first[-1] <= per):
             j += 1
         if j > i + 1:
-            order = _slab_order(tuple(red.first), tuple(blue.first), tuple(pairs[i:j]))
+            order = _slab_order(red.first, blue.first, tuple(pairs[i:j]))
             r_states = red.whole()[red.first[r] : red.first[pairs[j - 1][0] + 1]]
             tables, b_lo = ((None, None, r_states), (None, None, blue.whole())), 0
         else:

@@ -239,7 +239,8 @@ def test_epsilon_test_is_exact_for_large_integers():
             assert ls._select_move(inst, assignment, SearchConfig(rule=rule)) is not None
 
 
-@pytest.mark.parametrize("n_clients, n_blue, k_b, p", [(14, 7, 2, 2), (120, 20, 4, 1), (200, 8, 3, 2), (1000, 20, 3, 1)])
+@pytest.mark.parametrize("n_clients, n_blue, k_b, p",
+                         [(14, 7, 2, 2), (120, 20, 4, 1), (200, 8, 3, 2), (1000, 20, 3, 1)])
 def test_priced_totals_are_evaluates(n_clients, n_blue, k_b, p):
     # A delta is the priced new total minus the current one; once the move
     # is made, `evaluate` must give that total bit for bit, whether its row

@@ -139,7 +139,8 @@ class TestRun:
             inst = Instance(MetricSpace(np.abs(np.subtract.outer(xs, xs))), tuple(range(n_c)),
                             tuple(range(n_c, n_c + n_r)), tuple(range(n_c + n_r, len(xs))),
                             rng.randint(1, n_r - 1), rng.randint(1, n_b - 1))
-            config = SearchConfig(p=rng.randint(1, 2), rule=rng.choice(["best", "first"]), seed=rng.randrange(10**4))
+            config = SearchConfig(p=rng.randint(1, 2), rule=rng.choice(["best", "first"]),
+                                  seed=rng.randrange(10**4))
             result = run(inst, config)
             assert all(a > b for a, b in zip(result.trace, result.trace[1:])), result.trace
             assert is_local_opt(inst, result.solution, config.p).locally_optimal
