@@ -187,6 +187,8 @@ def _experiment_instances(spec: dict):
         n, base_seed = g.get("count", 1), g.get("seed", 0)
         for key, value in (("count", n), ("seed", base_seed), *params.items()):
             _typed(value, (int,), f"'generate' {key!r} must be an integer")
+        if n < 0:
+            raise InputError(f"'generate' 'count' must be >= 0, got {n}")
         params["box_size"] = _float(g.get("box_size", 1.0), "'generate' 'box_size'")
         for i in range(n):
             yield f"gen-{base_seed + i}", gen_euclidean(seed=base_seed + i, **params)
@@ -231,12 +233,12 @@ def run_experiment(spec: dict, out_stream) -> list:
             row.update({"instance": name, "p": p, "seed": seed})
             start = time.perf_counter()
             result = run(inst, config)
-            row["local_cost"] = result.assignment.total
+            row["local_cost"] = result.cost
             row["iterations"] = result.iterations
             if opt_cost is not None:
                 row["opt_cost"] = opt_cost
                 if opt_cost > 0:
-                    row["ratio"] = format_ratio(result.assignment.total, opt_cost)
+                    row["ratio"] = format_ratio(result.cost, opt_cost)
             elif opt_err:
                 row["error"] = f"opt skipped: {opt_err}"
             row["wall_time_s"] = f"{time.perf_counter() - start:.6f}"

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapExceeded
 from .instance import Instance, Solution, evaluate
 from .local_search import (ConfigError, SwapMove, _block_moves, _client_rows, _scan,
-                           _subset_minima, _swap_groups, neighborhood_size)
+                           _subset_minima, _swap_sizes, neighborhood_size)
 
 DEFAULT_CAP = 10**8
 
@@ -118,13 +118,13 @@ def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) 
     p >= max(k_r, k_b) the neighborhood reaches every feasible solution,
     so the verdict coincides with global optimality.
     """
-    assignment = evaluate(inst, sol)
+    total = evaluate(inst, sol).total
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
     size = neighborhood_size(inst, p)
     _refuse_over_cap(size, "neighborhood moves", cap)
-    found = _scan(inst, assignment, _swap_groups(inst, sol, p), lambda delta: delta < 0)
+    found = _scan(inst, _client_rows(inst), sol, total, _swap_sizes(inst, p), lambda delta: delta < 0)
     if found is None:
         return LocalOptVerdict(True, None, None, size)
-    index, move, delta = found
-    return LocalOptVerdict(False, move, delta, index + 1)
+    index, move, new_total = found
+    return LocalOptVerdict(False, move, new_total - total, index + 1)

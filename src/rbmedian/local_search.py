@@ -6,8 +6,15 @@ neighborhood is enumerated in a fixed canonical order: swap sizes (a, b)
 ascending lexicographically, then the index tuples (close_red, open_red,
 close_blue, open_blue) lexicographically. Every determinism guarantee in
 this module (best-improvement tie-breaks, first-improvement selection,
-witness reporting) is stated against that order, which `_swap_groups`
-alone defines.
+witness reporting) is stated against that order, which `_plan` alone
+defines.
+
+A plan holds everything in a scan that depends only on its shape: each
+colour's open and spare counts, the swap sizes and the block size. It is
+built once per shape and cached, on positions among a colour's open ids
+ascending, then its spare ids ascending. A scan lays out only the two id
+arrays, gathers its state rows through them and maps the winning state
+back to ids.
 
 A move's new distances are the columnwise minimum of its red and blue
 states: what each colour leaves open after a (close set, open set) swap.
@@ -15,14 +22,15 @@ Blocks are contiguous runs of the canonical order of about _BLOCK_ENTRIES
 (moves x clients) entries, so the working arrays stay in cache. A run of
 groups whose red states against all blue states fit in a block is priced
 as that one product, from whole state tables built at once, and put in
-canonical order by a cached permutation. Other groups are priced one by
+canonical order by the plan's permutation. Other groups are priced one by
 one from slices of those tables, or from minima over what each close set
 leaves open and over each open set; a blue table too large for a block
 is never built, each red state being folded into the blue close-set
 minima. A move's new total sums its new distances over one contiguous
-client row, as `evaluate` sums a solution's, so the scan and the search
-loop see the same cost; integer metrics stay in int64, so their deltas
-are exact.
+client row, as `evaluate` sums a solution's, so the priced total is the
+one `evaluate` would give; integer metrics stay in int64, so their deltas
+are exact. `run` therefore evaluates only its starting solution: it takes
+the client rows once and carries each accepted move's priced total.
 
 With epsilon > 0 a move is accepted only if it cuts cost by a relative
 (epsilon / n) factor, which bounds the number of iterations; epsilon = 0
@@ -42,7 +50,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .errors import InputError
-from .instance import Assignment, Instance, Solution, evaluate
+from .instance import Instance, Solution, evaluate
 
 TERMINATION_LOCAL_OPT = "local-optimum"
 TERMINATION_ITERATION_CAP = "iteration-cap"
@@ -65,7 +73,7 @@ class ConfigError(InputError):
 
 @dataclass(frozen=True)
 class SwapMove:
-    """A move; each side is an ascending id tuple, as `_swap_groups` builds it."""
+    """A move; each side is an ascending id tuple, as `_scan` reports it."""
 
     close_red: tuple = ()
     open_red: tuple = ()
@@ -97,13 +105,13 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
-    assignment: Assignment
+    solution: Solution
     trace: list  # cost before the first move and after each accepted one
     termination: str
 
     @property
-    def solution(self) -> Solution:
-        return self.assignment.solution
+    def cost(self):
+        return self.trace[-1]
 
     @property
     def iterations(self) -> int:
@@ -112,7 +120,7 @@ class SearchResult:
     def to_doc(self) -> dict:
         return {
             "solution": self.solution.to_doc(),
-            "cost": self.assignment.total,
+            "cost": self.cost,
             "iterations": self.iterations,
             "trace": list(self.trace),
             "termination": self.termination,
@@ -126,27 +134,6 @@ def apply_move(sol: Solution, move: SwapMove) -> Solution:
     )
 
 
-def _swap_groups(inst: Instance, sol: Solution, p: int):
-    """Yield the neighborhood as (red, blue) groups, one per swap size (a, b).
-
-    Each side is (close sets, open sets) of one colour, ascending id
-    tuples; a group's moves are the product close_red x open_red x
-    close_blue x open_blue in C order, which is the canonical order. Every
-    group of one swap size shares the same side object. `sol` is taken as
-    feasible: callers have evaluated it.
-    """
-    def sides(chosen, pool):
-        opened, spare = sorted(chosen), sorted(pool - chosen)
-        return [(list(combinations(opened, a)), list(combinations(spare, a)))
-                for a in range(min(p, len(opened), len(spare)) + 1)]
-
-    reds, blues = sides(sol.R, inst.red_set), sides(sol.B, inst.blue_set)
-    for red in reds:
-        for blue in blues:
-            if red is not reds[0] or blue is not blues[0]:
-                yield red, blue
-
-
 def neighborhood_size(inst: Instance, p: int) -> int:
     """Closed-form move count; matches enumeration exactly."""
     def one_colour(k, total):
@@ -154,6 +141,13 @@ def neighborhood_size(inst: Instance, p: int) -> int:
         return sum(math.comb(k, a) * math.comb(spare, a) for a in range(min(p, k, spare) + 1))
 
     return one_colour(inst.k_r, len(inst.red)) * one_colour(inst.k_b, len(inst.blue)) - 1
+
+
+def _swap_sizes(inst: Instance, p: int) -> tuple:
+    """The neighborhood's swap sizes (a, b), canonical order: each up to p
+    and to what its colour can swap, but not both 0."""
+    reach = [range(min(p, k, len(pool) - k) + 1) for k, pool in ((inst.k_r, inst.red), (inst.k_b, inst.blue))]
+    return tuple((a, b) for a in reach[0] for b in reach[1] if a or b)
 
 
 def _client_rows(inst: Instance):
@@ -214,105 +208,124 @@ def _blocks(red, blue, per):
                 yield r, b0, b_rows[None]
 
 
-@lru_cache(maxsize=16)
-def _open_after(k: int, spare: int, sizes: tuple) -> np.ndarray:
-    """The k positions, among a colour's open then spare ids, that each
-    state of its sides of swap sizes `sizes` leaves open, side after side."""
-    opened, closed = range(k), range(k, k + spare)
-    sets = [[i for i in opened if i not in c] + list(o) for a in sizes
-            for c in combinations(opened, a) for o in combinations(closed, a)]
-    table = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+def _positions(sets) -> np.ndarray:
+    """`sets`, each of one width, as a read-only array, for a cached plan."""
+    table = np.array(sets, dtype=np.intp)
     table.flags.writeable = False
     return table
 
 
-class _Colour:
-    """A colour's sides in a scan, numbered as its groups first name them,
-    and their states, numbered side after side. Each side's minima are
-    built when first needed, or sliced from the whole table once built."""
+@lru_cache(maxsize=16)
+def _plan(red: tuple, blue: tuple, sizes: tuple, per: int) -> tuple:
+    """The scan of swap sizes `sizes`, (a, b) pairs in canonical order, in
+    blocks of `per` moves, for colours of (open, spare) counts `red` and
+    `blue`. It holds positions only, among a colour's open ids ascending,
+    then its spare ids ascending, so one plan serves every solution of its
+    shape; it alone defines the canonical order.
 
-    def __init__(self, rows, fill, chosen, pool, sides, per):
-        self.rows, self.fill, self.per = rows, fill, per
-        self.chosen, self.pool, self.sides = chosen, pool, sides
-        self.first = tuple(accumulate((len(cs) * len(os) for cs, os in sides), initial=0))
-        self.at = {id(side): i for i, side in enumerate(sides)}
+    Returns (red sides, blue sides, groups, steps). A colour's sides, one
+    per swap size, are (close sets, the open positions each close set
+    keeps, open sets, first state of each side, the positions each state
+    leaves open or None), states numbered side after side in C order; the
+    last is built only where whole tables are priced. A group is (red side,
+    blue side). A step is a run of groups whose red states against all
+    blue states fit in a block, as ((first red state, end red state),
+    positions of its moves in canonical order among those states against
+    all blue ones), or one group, as ((red side, blue side), None).
+    """
+    sides = []
+    for (k, spare), own in ((red, {a for a, _ in sizes}), (blue, {b for _, b in sizes})):
+        own = sorted(own)
+        closes = [list(combinations(range(k), a)) for a in own]
+        opens = [list(combinations(range(k, k + spare), a)) for a in own]
+        kept = [[[i for i in range(k) if i not in c] for c in cs] for cs in closes]
+        first = tuple(accumulate((len(cs) * len(os) for cs, os in zip(closes, opens)), initial=0))
+        sides.append((own, closes, kept, opens, first))
+    (r_own, *_, rf), (b_own, *_, bf) = sides
+    pairs = tuple((r_own.index(a), b_own.index(b)) for a, b in sizes)
+    steps, i = [], 0
+    while i < len(pairs):
+        r, j = pairs[i][0], i
+        while j < len(pairs) and rf[-1] <= per and (rf[pairs[j][0] + 1] - rf[r]) * bf[-1] <= per:
+            j += 1
+        if j > i + 1:
+            order = _positions(np.concatenate([((np.arange(rf[r2], rf[r2 + 1]) - rf[r])[:, None] * bf[-1]
+                                                + np.arange(bf[b], bf[b + 1])).ravel() for r2, b in pairs[i:j]]))
+            steps.append(((rf[r], rf[pairs[j - 1][0] + 1]), order))
+        else:
+            j = i + 1
+            steps.append((pairs[i], None))
+        i = j
+    whole = any(order is not None for _, order in steps)
+    for c, (_, closes, kept, opens, first) in enumerate(sides):
+        sides[c] = (*(tuple(map(_positions, sets)) for sets in (closes, kept, opens)), first,
+                    _positions([kk + list(o) for kp, os in zip(kept, opens) for kk in kp for o in os])
+                    if whole else None)
+    return (*sides, pairs, tuple(steps))
+
+
+class _Colour:
+    """A colour's state rows in one scan, built from its plan sides through
+    its ids: the whole table where the plan prices whole tables, else each
+    side's minima over what each close set keeps and over each open set,
+    when first needed."""
+
+    def __init__(self, rows, fill, ids, sides, per):
+        self.rows, self.fill, self.ids, self.per = rows, fill, ids, per
+        self.closes, self.kept, self.opens, self.first, self.open_after = sides
         self.memo, self.table = {}, None
 
     def whole(self):
-        """The whole state table, which must fit in a block: per state, the
-        minimum over the facilities it leaves open."""
         if self.table is None:
-            opened, spare = sorted(self.chosen), sorted(self.pool - self.chosen)
-            sets = _open_after(len(opened), len(spare), tuple(len(cs[0]) for cs, _ in self.sides))
-            ids = np.array(opened + spare, dtype=np.intp)
-            self.table = _subset_minima(self.rows, ids[sets], self.fill)
+            self.table = _subset_minima(self.rows, self.ids[self.open_after], self.fill)
         return self.table
 
     def tables(self, i):
-        """(kept, added, states) of side i for `_blocks`: its minima over what
-        each close set leaves open and over each open set, and its states if
-        they fit in a block."""
-        if self.table is not None:
-            return None, None, self.table[self.first[i] : self.first[i + 1]]
+        """(kept, added, states) of side i for `_blocks`."""
+        if self.open_after is not None:
+            return None, None, self.whole()[self.first[i] : self.first[i + 1]]
         if i not in self.memo:
-            (closes, opens), rows, fill = self.sides[i], self.rows, self.fill
-            kept = _subset_minima(rows, [[f for f in self.chosen if f not in c] for c in closes], fill)
-            added = _subset_minima(rows, opens, fill)
-            fits = len(closes) * len(opens) <= self.per
+            kept = _subset_minima(self.rows, self.ids[self.kept[i]], self.fill)
+            added = _subset_minima(self.rows, self.ids[self.opens[i]], self.fill)
+            fits = len(kept) * len(added) <= self.per
             self.memo[i] = (kept, added, _states(kept, added) if fits else None)
         return self.memo[i]
 
     def pick(self, state):
-        """(close set, open set) of state number `state`."""
+        """(close set, open set) of state number `state`, as id tuples."""
         i = bisect_right(self.first, state) - 1
-        (closes, opens), at = self.sides[i], state - self.first[i]
-        return closes[at // len(opens)], opens[at % len(opens)]
+        at, n_open = state - self.first[i], len(self.opens[i])
+        return (tuple(self.ids[self.closes[i][at // n_open]].tolist()),
+                tuple(self.ids[self.opens[i][at % n_open]].tolist()))
 
 
-@lru_cache(maxsize=16)
-def _slab_order(red_first: tuple, blue_first: tuple, pairs: tuple) -> np.ndarray:
-    """Positions of the moves of groups (red side, blue side) `pairs`, in
-    canonical order, among pairs[0]'s red states on against all blue ones."""
-    lo, n_blue = red_first[pairs[0][0]], blue_first[-1]
-    order = np.concatenate([((np.arange(red_first[r], red_first[r + 1]) - lo)[:, None] * n_blue
-                             + np.arange(blue_first[b], blue_first[b + 1])).ravel() for r, b in pairs])
-    order.flags.writeable = False
-    return order
-
-
-def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
-    """Price the moves of `groups`, each whole and in the order
-    `_swap_groups` yields them for this assignment, block by block.
+def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accept=None):
+    """Price the moves of swap sizes `sizes` from `sol`, which costs
+    `total`, block by block in canonical order; `client_rows` is
+    `_client_rows(inst)`.
 
     A move is priced by its new total, which `evaluate` gives the solution
-    after it bit for bit; its delta is that total minus the current one.
+    after it bit for bit; its delta is that total minus `total`.
     `accept` maps an array of deltas to a boolean mask. With it, the first
     move that passes is returned; without it, the move of least new total,
-    ties to the lowest index. Returns (canonical index, move, delta), or
-    None when no move qualifies.
+    ties to the lowest index. Returns (canonical index, move, new total),
+    or None when no move qualifies.
     """
-    groups = list(groups)
-    rows, fill = _client_rows(inst)
-    per = _block_moves(len(assignment.distance))
-    sol, total = assignment.solution, assignment.total
-    sides = [list({id(group[c]): group[c] for group in groups}.values()) for c in (0, 1)]
-    red = _Colour(rows, fill, sol.R, inst.red_set, sides[0], per)
-    blue = _Colour(rows, fill, sol.B, inst.blue_set, sides[1], per)
-    pairs = [(red.at[id(r)], blue.at[id(b)]) for r, b in groups]
-    best, done, i = None, 0, 0  # best: (canonical index, new total, red state, blue state)
-    while i < len(pairs) and (accept is None or best is None):
-        (r, b), j, order = pairs[i], i, None
-        # a run of groups whose red states against all blue states fit in a
-        # block is one block, from whole tables, put in canonical order
-        while (j < len(pairs) and red.first[-1] <= per
-               and (red.first[pairs[j][0] + 1] - red.first[r]) * blue.first[-1] <= per):
-            j += 1
-        if j > i + 1:
-            order = _slab_order(red.first, blue.first, tuple(pairs[i:j]))
-            r_states = red.whole()[red.first[r] : red.first[pairs[j - 1][0] + 1]]
-            tables, b_lo = ((None, None, r_states), (None, None, blue.whole())), 0
+    rows, fill = client_rows
+    per = _block_moves(rows.shape[1])
+    colours = ((sol.R, inst.red), (sol.B, inst.blue))
+    *sides, _, steps = _plan(*((len(chosen), len(pool) - len(chosen)) for chosen, pool in colours), sizes, per)
+    red, blue = (_Colour(rows, fill, np.array(sorted(chosen) + [f for f in pool if f not in chosen],
+                                              dtype=np.intp), own, per)
+                 for (chosen, pool), own in zip(colours, sides))
+    best, done = None, 0  # best: (canonical index, new total, red state, blue state)
+    for step, order in steps:
+        if order is None:
+            r, b = step
+            tables, r_lo, b_lo = (red.tables(r), blue.tables(b)), red.first[r], blue.first[b]
         else:
-            j, tables, b_lo = i + 1, (red.tables(r), blue.tables(b)), blue.first[b]
+            (r_lo, r_hi), b_lo = step, 0
+            tables = (None, None, red.whole()[r_lo:r_hi]), (None, None, blue.whole())
         for r0, b0, new in _blocks(*tables, per):
             totals = new.sum(axis=-1).ravel()
             if order is not None:
@@ -326,15 +339,16 @@ def _scan(inst: Instance, assignment: Assignment, groups, accept=None):
                 hit = bool(hits[q])
             if hit:
                 at = divmod(q if order is None else int(order[q]), new.shape[1])
-                best = (done + q, totals[q], red.first[r] + r0 + at[0], b_lo + b0 + at[1])
+                best = (done + q, totals[q], r_lo + r0 + at[0], b_lo + b0 + at[1])
                 if accept is not None:
                     break
             done += len(totals)
-        i = j
+        if accept is not None and best is not None:
+            break
     if best is None:
         return None
     index, new_total, r, b = best
-    return index, SwapMove(*red.pick(r), *blue.pick(b)), (new_total - total).item()
+    return index, SwapMove(*red.pick(r), *blue.pick(b)), new_total.item()
 
 
 def _random_solution(inst: Instance, seed: int) -> Solution:
@@ -345,8 +359,8 @@ def _random_solution(inst: Instance, seed: int) -> Solution:
     )
 
 
-def _select_move(inst, assignment, config):
-    """Return (move, delta) for the accepted move this iteration, or None.
+def _select_move(inst, rows, sol, total, sizes, config):
+    """Return (move, new total) for the accepted move this iteration, or None.
 
     Acceptance: delta < 0 always, and with epsilon > 0 additionally
     new <= (1 - epsilon/n) * current, in exact rationals for integer
@@ -355,7 +369,6 @@ def _select_move(inst, assignment, config):
     cannot loop. A delta is new - current, so current + delta is the new
     total itself wherever it can meet the bound (Sterbenz, for n >= 3).
     """
-    total = assignment.total
     if config.epsilon:
         if inst.space.integral:
             bound = math.floor(total * (1 - Fraction(config.epsilon) / inst.space.n))
@@ -368,28 +381,29 @@ def _select_move(inst, assignment, config):
         def accepted(delta):
             return delta < 0
 
-    groups = _swap_groups(inst, assignment.solution, config.p)
     if config.rule == "best":
-        picked = _scan(inst, assignment, groups)
-        if picked is not None and not accepted(picked[2]):
+        picked = _scan(inst, rows, sol, total, sizes)
+        if picked is not None and not accepted(picked[2] - total):
             picked = None
     else:
-        picked = _scan(inst, assignment, groups, accepted)
+        picked = _scan(inst, rows, sol, total, sizes, accepted)
     return None if picked is None else picked[1:]
 
 
 def run(inst: Instance, config: SearchConfig, initial: Solution | None = None) -> SearchResult:
     """Iterate accepted swaps until none remains or max_iters is hit.
 
-    Deterministic given (config, initial).
+    Deterministic given (config, initial). The client rows and the swap
+    sizes are taken once per run; each accepted move's cost is the total
+    the scan priced it at, which is `evaluate`'s for the new solution.
     """
     sol = _random_solution(inst, config.seed) if initial is None else initial
-    assignment = evaluate(inst, sol)
-    trace = [assignment.total]
+    trace = [evaluate(inst, sol).total]
+    rows, sizes = _client_rows(inst), _swap_sizes(inst, config.p)
     while len(trace) <= config.max_iters:
-        picked = _select_move(inst, assignment, config)
+        picked = _select_move(inst, rows, sol, trace[-1], sizes, config)
         if picked is None:
-            return SearchResult(assignment, trace, TERMINATION_LOCAL_OPT)
-        assignment = evaluate(inst, apply_move(assignment.solution, picked[0]))
-        trace.append(assignment.total)
-    return SearchResult(assignment, trace, TERMINATION_ITERATION_CAP)
+            return SearchResult(sol, trace, TERMINATION_LOCAL_OPT)
+        sol = apply_move(sol, picked[0])
+        trace.append(picked[1])
+    return SearchResult(sol, trace, TERMINATION_ITERATION_CAP)

@@ -2,7 +2,8 @@
 
 `scalar_evaluate` assigns clients one at a time in plain Python, the
 reference for `evaluate` and its `instance.nearest`. `neighborhood`
-enumerates the moves one by one in canonical order and `DeltaEvaluator`
+enumerates the moves one by one in canonical order, mapping the scan
+plan's positions to ids (`plan_moves`), and `DeltaEvaluator`
 prices one move at a time; the `oracle_*` helpers scan the first with the
 second and apply the selection rules move by move, the way the search did
 before it priced moves in numpy blocks. `delta_cost` prices any one move
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from rbmedian.decomposition import BLUE, RED, FacilityClass, GroupKind
 from rbmedian.errors import InternalInvariantError
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
-from rbmedian.local_search import SwapMove, _scan, _swap_groups
+from rbmedian.local_search import SwapMove, _client_rows, _plan, _scan, _swap_sizes
 
 _INF = float("inf")
 
@@ -96,26 +97,38 @@ class DeltaEvaluator:
         return total
 
 
+def plan_moves(inst: Instance, sol: Solution, sizes):
+    """Yield the moves of swap sizes `sizes` in the plan's canonical order,
+    its positions mapped to ids: a colour's open ids ascending, then its
+    spare ids ascending."""
+    colours = [(sorted(chosen), sorted(pool - chosen)) for chosen, pool in
+               ((sol.R, inst.red_set), (sol.B, inst.blue_set))]
+    *plan, pairs, _ = _plan(*((len(o), len(s)) for o, s in colours), tuple(sizes), 1)
+    sides = []
+    for (opened, spare), (closes, _, opens, *_) in zip(colours, plan):
+        ids = opened + spare
+        sides.append([([tuple(ids[x] for x in row) for row in cs.tolist()],
+                       [tuple(ids[x] for x in row) for row in os.tolist()])
+                      for cs, os in zip(closes, opens)])
+    for r, b in pairs:
+        for cr, orr, cb, ob in product(*sides[0][r], *sides[1][b]):
+            yield SwapMove(cr, orr, cb, ob)
+
+
 def neighborhood(inst: Instance, sol: Solution, p: int):
     """Yield every valid move of size at most p per colour, canonical order."""
-    for red, blue in _swap_groups(inst, sol, p):
-        for cr, orr, cb, ob in product(*red, *blue):
-            yield SwapMove(cr, orr, cb, ob)
+    return plan_moves(inst, sol, _swap_sizes(inst, p))
 
 
 def delta_cost(inst: Instance, assignment: Assignment, move: SwapMove):
     """Cost change of one move, priced by the search's own kernel: `_scan`
-    over the move's swap-size group, built here so that the identity move,
-    which no neighborhood holds, is priced too, accepting that move alone.
-    Each side of `move` may list its ids in any order."""
-    def side(chosen, pool, closes):
-        return (list(combinations(sorted(chosen), len(closes))),
-                list(combinations(sorted(pool - chosen), len(closes))))
-
-    sol = assignment.solution
-    group = (side(sol.R, inst.red_set, move.close_red), side(sol.B, inst.blue_set, move.close_blue))
+    over the move's swap-size group alone, so that the identity move, which
+    no neighborhood holds, is priced too, accepting that move alone. Each
+    side of `move` may list its ids in any order."""
+    sol, total = assignment.solution, assignment.total
+    sizes = ((len(move.close_red), len(move.close_blue)),)
     move = SwapMove(*(tuple(sorted(ids)) for ids in vars(move).values()))
-    target = [SwapMove(*mv) for mv in product(*group[0], *group[1])].index(move)
+    target = list(plan_moves(inst, sol, sizes)).index(move)
     seen = 0
 
     def only(deltas):
@@ -124,7 +137,7 @@ def delta_cost(inst: Instance, assignment: Assignment, move: SwapMove):
         seen += len(deltas)
         return hits
 
-    return _scan(inst, assignment, [group], only)[2]
+    return _scan(inst, _client_rows(inst), sol, total, sizes, only)[2] - total
 
 
 def deficiency(members, s_sol: Solution, o_sol: Solution) -> int:

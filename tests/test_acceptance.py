@@ -118,7 +118,7 @@ def test_criterion_4_full_swap_search_equals_brute_force():
             result = run(inst, SearchConfig(p=p, epsilon=0.0, seed=case))
             opt = brute_force_opt(inst)
             if inst.space.integral:
-                assert result.assignment.total == opt.cost, (case, result.assignment.total, opt.cost)
+                assert result.cost == opt.cost, (case, result.cost, opt.cost)
             else:
                 # one evaluator for both solutions; summation-order noise
                 # between evaluators is capped at the documented tolerance
@@ -199,7 +199,7 @@ def test_criterion_8_iteration_bound_with_threshold():
             k_r, k_b = _random_budgets(rng, n_red, n_blue)
             inst = grid_instance(rng, rng.randint(2, 12), n_red, n_blue, k_r, k_b)
             result = run(inst, SearchConfig(p=1, epsilon=eps, seed=case))
-            c0, cf = result.trace[0], result.assignment.total
+            c0, cf = result.trace[0], result.cost
             if cf <= 0 or c0 <= 0:
                 continue  # the log bound is vacuous at zero cost
             bound = math.ceil((inst.space.n / eps) * math.log(c0 / cf)) + 1

@@ -7,6 +7,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import grid_instance, line_instance
@@ -22,8 +23,9 @@ from rbmedian.cli import (
     run_experiment,
 )
 from rbmedian.exact import brute_force_opt, is_local_opt
-from rbmedian.instance import Solution, serialize, serialize_solution
-from rbmedian.local_search import SearchConfig, run
+from rbmedian.instance import Instance, Solution, gen_euclidean, serialize, serialize_solution
+from rbmedian.local_search import SearchConfig, _plan, run
+from rbmedian.metric import MetricSpace
 
 
 def put_instance(tmp_path, inst, name="instance.json"):
@@ -104,6 +106,33 @@ class TestSolve:
         doc = stdout_json(capsys)
         assert doc["cost"] < 11
         assert doc["iterations"] >= 1
+
+    def test_relabelling_keeps_the_search(self, tmp_path, capsys):
+        # Relabel the locations, keeping the order within each role: the
+        # canonical order and the seeded start are the same, so the trace
+        # is, and the solution maps through. The second solve has the
+        # shape of the first, so its scans reuse the first one's plans.
+        inst = gen_euclidean(200, 10, 10, 3, 3, box_size=100.0, seed=200)
+        roles = ["clients"] * 200 + ["red"] * 10 + ["blue"] * 10
+        random.Random(0).shuffle(roles)
+        new = {}
+        for role in ("clients", "red", "blue"):
+            new.update(zip(getattr(inst, role), (i for i, r in enumerate(roles) if r == role)))
+        perm = np.array([new[i] for i in range(220)])
+        dist = np.empty_like(inst.space.dist)
+        dist[np.ix_(perm, perm)] = inst.space.dist
+        relabelled = Instance(MetricSpace(dist), *([new[i] for i in getattr(inst, role)]
+                                                   for role in ("clients", "red", "blue")), 3, 3)
+        docs = []
+        for name, case in (("a.json", inst), ("b.json", relabelled)):
+            hits = _plan.cache_info().hits
+            assert main(["solve", put_instance(tmp_path, case, name), "--p", "2", "--seed", "4"]) == EXIT_OK
+            docs.append(stdout_json(capsys))
+        assert _plan.cache_info().hits > hits
+        assert docs[0]["iterations"] == docs[1]["iterations"] > 0
+        assert docs[0]["trace"] == docs[1]["trace"]
+        assert {side: sorted(new[i] for i in ids) for side, ids in docs[0]["solution"].items()} \
+            == docs[1]["solution"]
 
 
 class TestParserReuse:
@@ -571,10 +600,11 @@ class TestExperiment:
         {"generate": {k: v for k, v in GENERATE.items() if k != "k_b"}},
         {"generate": {**GENERATE, "box_size": -1}},
         {"generate": {**GENERATE, "k_r": 3}},
+        {"generate": {**GENERATE, "count": -3}},
         {"corpus": "missing"},
         {"p_values": [1]},
     ], ids=["epsilon-range", "p-range", "generate-no-k_b", "box-negative", "budget-range",
-            "corpus-missing", "no-source"])
+            "count-negative", "corpus-missing", "no-source"])
     def test_spec_error_fails_before_any_output(self, tmp_path, capsys, body):
         if "corpus" in body:
             body = {"corpus": str(tmp_path / body["corpus"])}

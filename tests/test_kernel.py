@@ -24,6 +24,12 @@ from rbmedian.local_search import SearchConfig
 FLOAT_RTOL = 1e-9
 
 
+def scan(inst, sol, p, accept=None):
+    """`_scan` over sol's neighborhood, swaps of size at most p."""
+    total = evaluate(inst, sol).total
+    return ls._scan(inst, ls._client_rows(inst), sol, total, ls._swap_sizes(inst, p), accept)
+
+
 def kernel_deltas(inst, assignment, p):
     """Every delta the kernel computes, in the order it computes them."""
     seen = []
@@ -32,8 +38,7 @@ def kernel_deltas(inst, assignment, p):
         seen.extend(deltas.tolist())
         return np.zeros(len(deltas), dtype=bool)
 
-    groups = ls._swap_groups(inst, assignment.solution, p)
-    assert ls._scan(inst, assignment, groups, record) is None
+    assert scan(inst, assignment.solution, p, record) is None
     return seen
 
 
@@ -49,7 +54,8 @@ def kernel_move_at(inst, assignment, p, target):
         seen += len(deltas)
         return mask
 
-    return ls._scan(inst, assignment, ls._swap_groups(inst, assignment.solution, p), hit)
+    index, move, new_total = scan(inst, assignment.solution, p, hit)
+    return index, move, new_total - assignment.total
 
 
 def near_tie(moves, pick, rule, total, epsilon, n, tol):
@@ -96,12 +102,13 @@ def check_against_oracle(inst, sol, p):
             pick = oracle_pick(moves, rule, oracle_accepts(inst, total, epsilon))
             if tol and near_tie(moves, pick, rule, total, epsilon, inst.space.n, tol):
                 continue
-            picked = ls._select_move(inst, assignment, SearchConfig(p=p, rule=rule, epsilon=epsilon))
+            picked = ls._select_move(inst, ls._client_rows(inst), sol, total, ls._swap_sizes(inst, p),
+                                     SearchConfig(p=p, rule=rule, epsilon=epsilon))
             if pick is None:
                 assert picked is None
             else:
                 assert picked is not None and picked[0] == moves[pick][0]
-                assert same(picked[1], moves[pick][1])
+                assert same(picked[1] - total, moves[pick][1])
 
     # the local-optimality verdict and its witness
     pick = oracle_pick(moves, "first", lambda d: d < 0)
@@ -150,8 +157,7 @@ def test_block_sizes_force_each_split(batch):
         sizes.append(len(deltas))
         return np.zeros(len(deltas), dtype=bool)
 
-    assignment = evaluate(inst, sol)
-    assert ls._scan(inst, assignment, ls._swap_groups(inst, sol, 1), record) is None
+    assert scan(inst, sol, 1, record) is None
     assert sum(sizes) == 9 + 6 + 54  # groups (0, 1), (1, 0), (1, 1)
     ends = np.cumsum(sizes).tolist()
     assert (sizes if batch is None else sizes[ends.index(15) + 1 :]) == BLOCK_SPLITS[batch]
@@ -234,9 +240,11 @@ def test_epsilon_test_is_exact_for_large_integers():
         want = 0 if accepted else None
         for rule in ("best", "first"):
             assert oracle_pick(moves, rule, oracle_accepts(inst, near, epsilon)) == want
-            picked = ls._select_move(inst, assignment, SearchConfig(rule=rule, epsilon=epsilon))
+            rows, sizes = ls._client_rows(inst), ls._swap_sizes(inst, 1)
+            args = (inst, rows, sol, assignment.total, sizes)
+            picked = ls._select_move(*args, SearchConfig(rule=rule, epsilon=epsilon))
             assert (picked is not None) == accepted
-            assert ls._select_move(inst, assignment, SearchConfig(rule=rule)) is not None
+            assert ls._select_move(*args, SearchConfig(rule=rule)) is not None
 
 
 @pytest.mark.parametrize("n_clients, n_blue, k_b, p",
@@ -268,11 +276,11 @@ def test_scan_memory_is_bounded():
     # and open-set minima plus a block, never a table of every state.
     inst = gen_euclidean(100, 0, 80, 0, 8, seed=1)
     sol = ls._random_solution(inst, 0)
-    assignment = evaluate(inst, sol)
+    args = (inst, ls._client_rows(inst), sol, evaluate(inst, sol).total, ls._swap_sizes(inst, 2))
     assert ls.neighborhood_size(inst, 2) == 72144
     tracemalloc.start()
     try:
-        ls._scan(inst, assignment, ls._swap_groups(inst, sol, 2))
+        ls._scan(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -292,8 +300,8 @@ def test_sweep_shape_is_one_block_in_canonical_order(p, moves):
             calls.append(deltas.tolist())
             return np.zeros(len(deltas), dtype=bool)
 
-        assignment, want = oracle_moves(inst, sol, p)
-        assert ls._scan(inst, assignment, ls._swap_groups(inst, sol, p), record) is None
+        _, want = oracle_moves(inst, sol, p)
+        assert scan(inst, sol, p, record) is None
         assert calls == [[delta for _mv, delta in want]] and len(want) == moves
 
 

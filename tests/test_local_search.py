@@ -1,5 +1,6 @@
 """Swap moves, neighborhood enumeration, and the search loop."""
 
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
 from oracle import delta_cost, neighborhood
 from rbmedian.exact import is_local_opt
-from rbmedian.instance import Instance, Solution, evaluate
+from rbmedian.instance import Instance, Solution, evaluate, gen_euclidean
 from rbmedian.local_search import (
     ConfigError,
     SearchConfig,
@@ -116,7 +117,7 @@ class TestRun:
         gap = build(GapParams(p=1, ell=2))
         res = run(gap.instance, SearchConfig(p=1, epsilon=0.0), initial=gap.local_solution)
         assert res.iterations == 0
-        assert res.assignment.total == 11
+        assert res.cost == 11
         assert res.termination == "local-optimum"
         assert res.trace == [11]
 
@@ -126,7 +127,7 @@ class TestRun:
             inst = random_sized_grid(rng)
             res = run(inst, SearchConfig(p=1, seed=seed))
             assert all(a > b for a, b in zip(res.trace, res.trace[1:]))
-            assert res.trace[-1] == res.assignment.total
+            assert res.trace[-1] == evaluate(inst, res.solution).total
             assert len(res.trace) == res.iterations + 1
 
     def test_float_traces_strictly_decrease(self):
@@ -162,7 +163,7 @@ class TestRun:
             inst = random_sized_grid(rng, max_clients=8, max_per_colour=5)
             p = max(1, inst.k_r, inst.k_b)
             res = run(inst, SearchConfig(p=p, seed=seed))
-            assert res.assignment.total == brute_force_opt(inst).cost
+            assert res.cost == brute_force_opt(inst).cost
 
     def test_first_improvement_agrees_on_final_local_optimality(self):
         from rbmedian.exact import is_local_opt
@@ -182,6 +183,23 @@ class TestRun:
                 again = run(inst, config)
                 assert base.solution == again.solution
                 assert base.trace == again.trace
+
+    @pytest.mark.parametrize("n_clients, n_colour, k, p", [(14, 7, 2, 2), (120, 20, 4, 1), (60, 10, 3, 2)])
+    def test_trace_prefixes_are_evaluates(self, n_clients, n_colour, k, p):
+        # run carries each accepted move's priced total: stopped after t
+        # moves, it must hold a solution that evaluate costs at trace[t]
+        # exactly, floats included
+        shape = (n_clients, n_colour, n_colour, k, k)
+        for inst in (gen_euclidean(*shape, box_size=100.0, seed=n_clients),
+                     grid_instance(random.Random(n_clients), *shape)):
+            for rule in ("best", "first"):
+                for epsilon in (0.0, 0.3):
+                    config = SearchConfig(p=p, rule=rule, epsilon=epsilon, seed=1)
+                    trace = run(inst, config).trace
+                    for t in range(len(trace)):
+                        stopped = run(inst, dataclasses.replace(config, max_iters=t))
+                        assert stopped.trace == trace[: t + 1]
+                        assert evaluate(inst, stopped.solution).total == trace[t]
 
     def test_iteration_cap_reported(self):
         rng = random.Random(10)
