@@ -110,14 +110,14 @@ def build_phi(inst: Instance, s_sol: Solution, o_sol: Solution) -> PhiMap:
         raise OverlapError(
             f"solutions share facilities {sorted(overlap)}; disjointify the pair first"
         )
-    anchor, _ = nearest(inst.space.dist, o_fac, s_fac)
+    anchor, gap = nearest(inst.space, o_fac, s_fac)
     phi = dict(zip(o_fac, anchor.tolist()))
+    to_anchor = dict(zip(o_fac, gap.tolist()))
     pre = {i: [] for i in s_fac}
     for o, i in phi.items():  # o ascends, so each list comes out sorted
         pre[i].append(o)
-    dist = inst.space.dist
     # cent(i) is the first preimage of i in (distance to i, index) order
-    cent = {i: min(mine, key=lambda o: (dist[i, o], o)) for i, mine in pre.items() if mine}
+    cent = {i: min(mine, key=lambda o: (to_anchor[o], o)) for i, mine in pre.items() if mine}
     return PhiMap(phi=phi, cent=cent, pre=pre)
 
 
@@ -374,13 +374,12 @@ def check_standard_bounds(inst: Instance, a_s: Assignment, a_o: Assignment,
     lookup[list(phi.cent)] = list(phi.cent.values())
     anchor = lookup[a_o.facility]
     centre = lookup[anchor]
-    cols = np.asarray(inst.clients, dtype=np.intp)
     # Object arrays compute in Python scalars: integer slack stays exact
     # past int64, and every number reported is a plain int or float.
     c = a_s.distance.astype(object)
     c_star = a_o.distance.astype(object)
-    d_anchor = inst.space.dist[cols, anchor].astype(object)
-    d_centre = inst.space.dist[cols, centre].astype(object)
+    d_ends = inst.space.rows([anchor, centre])[:, np.arange(len(inst.clients)), inst.clients]
+    d_anchor, d_centre = d_ends.astype(object)  # d(f, client t), f its anchor, then its centre
     slack_anchor = (c + 2 * c_star) - d_anchor
     slack_centre = (2 * c + 3 * c_star) - d_centre
     allowance = tol * np.maximum(1.0, abs(c) + abs(c_star)) if tol else 0

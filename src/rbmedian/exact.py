@@ -70,8 +70,7 @@ def lower_bound(inst: Instance):
     """Each client's distance to its nearest facility of either colour,
     summed exactly. No solution costs less, as every client pays at least
     that; it is the natural LP's Lagrangian bound at v_j = that distance."""
-    rows, _ = _client_rows(inst)
-    return _exact_sum(rows[list(inst.red + inst.blue)].min(axis=0))
+    return _exact_sum(_client_rows(inst)[0].min(axis=0))
 
 
 def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
@@ -88,16 +87,17 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     pairs = n_red * n_blue
     _refuse_over_cap(pairs, "candidate solutions", cap)
 
-    rows, fill = _client_rows(inst)
+    rows, fill, _ = _client_rows(inst)  # rows of inst.red, then of inst.blue
+    ids = inst.red + inst.blue
     per = _block_moves(len(inst.clients))
     width = min(n_blue, per)
     step = per // width
-    blue_combos = combinations(inst.blue, inst.k_b)
+    blue_combos = combinations(range(len(inst.red), len(ids)), inst.k_b)
     best = None  # ((cost, red rank, blue rank), red subset, blue subset)
     for b_lo in range(0, n_blue, width):
         blues = list(islice(blue_combos, width))
         b_min = _subset_minima(rows, blues, fill)
-        red_combos = combinations(inst.red, inst.k_r)
+        red_combos = combinations(range(len(inst.red)), inst.k_r)
         for r_lo in range(0, n_red, step):
             reds = list(islice(red_combos, step))
             totals = np.minimum(_subset_minima(rows, reds, fill)[:, None, :], b_min).sum(axis=-1)
@@ -106,7 +106,7 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
             if best is None or key < best[0]:
                 best = (key, reds[i_r], blues[i_b])
 
-    solution = Solution(R=frozenset(best[1]), B=frozenset(best[2]))
+    solution = Solution(*(frozenset(ids[x] for x in subset) for subset in best[1:]))
     return OptResult(solution, evaluate(inst, solution).total, pairs)
 
 

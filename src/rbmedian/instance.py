@@ -75,12 +75,10 @@ class Instance:
             raise InstanceError("at least one facility must be opened: k_r + k_b >= 1")
         if self.space.integral:
             # every cost sums one facility-row entry per client in int64
-            top = int(self.space.dist[list(self.red + self.blue)].max(initial=0))
+            top = int(self.space.rows(self.red + self.blue).max(initial=0))
             if top * len(self.clients) >= 2**63:
-                raise InstanceError(
-                    f"integer distances up to {top} over {len(self.clients)} clients can sum "
-                    "past int64: need max distance * clients < 2^63"
-                )
+                raise InstanceError(f"integer distances up to {top} over {len(self.clients)} clients "
+                                    "can sum past int64: need max distance * clients < 2^63")
 
     @property
     def red_set(self) -> frozenset:
@@ -118,7 +116,6 @@ class Assignment:
     its distance.
     """
 
-    solution: Solution
     facility: np.ndarray
     distance: np.ndarray
     total: object  # int or float
@@ -138,14 +135,14 @@ def check_feasible(inst: Instance, sol: Solution) -> None:
             raise InfeasibleSolutionError(f"{side} contains non-{colour} locations {sorted(stray)}")
 
 
-def nearest(dist: np.ndarray, targets, facilities):
+def nearest(space: MetricSpace, targets, facilities):
     """Nearest of `facilities` to each of `targets`, ties to the lowest index.
 
     Returns (facility, distance) arrays aligned with `targets`.
-    `facilities` must be nonempty.
+    `facilities` must be nonempty, and `space` must hold their rows.
     """
     fac = np.asarray(sorted(facilities), dtype=np.intp)
-    block = dist[fac][:, np.asarray(targets, dtype=np.intp)]
+    block = space.rows(fac).take(np.asarray(targets, dtype=np.intp), axis=1)
     pos = block.argmin(axis=0)  # first minimum, so the lowest index
     return fac[pos], block.min(axis=0)
 
@@ -159,9 +156,9 @@ def evaluate(inst: Instance, sol: Solution) -> Assignment:
     are exact; with no clients the total is int 0.
     """
     check_feasible(inst, sol)
-    facility, distance = nearest(inst.space.dist, inst.clients, sol.facilities())
+    facility, distance = nearest(inst.space, inst.clients, sol.facilities())
     total = distance.sum().item() if len(distance) else 0
-    return Assignment(solution=sol, facility=facility, distance=distance, total=total)
+    return Assignment(facility=facility, distance=distance, total=total)
 
 
 def disjointify(inst: Instance, s_sol: Solution, o_sol: Solution):
@@ -183,17 +180,15 @@ def disjointify(inst: Instance, s_sol: Solution, o_sol: Solution):
 
     n = inst.space.n
     idx = list(range(n)) + shared  # copy n + t stands where shared[t] does
-    space = MetricSpace(inst.space.dist[np.ix_(idx, idx)])
+    held = inst.space.ids.tolist()  # the copies' rows are their originals'
+    space = MetricSpace(inst.space.rows(held + shared)[:, idx], held + list(range(n, len(idx))))
 
     copy_of = {f: n + t for t, f in enumerate(shared)}
     red = list(inst.red) + [copy_of[f] for f in shared if f in inst.red_set]
     blue = list(inst.blue) + [copy_of[f] for f in shared if f in inst.blue_set]
     bigger = Instance(space=space, clients=inst.clients, red=tuple(red), blue=tuple(blue),
                       k_r=inst.k_r, k_b=inst.k_b)
-    o_new = Solution(
-        R=frozenset(copy_of.get(f, f) for f in o_sol.R),
-        B=frozenset(copy_of.get(f, f) for f in o_sol.B),
-    )
+    o_new = Solution(*(frozenset(copy_of.get(f, f) for f in side) for side in (o_sol.R, o_sol.B)))
     return bigger, s_sol, o_new
 
 
@@ -219,28 +214,18 @@ def gen_euclidean(n_clients: int, n_red: int, n_blue: int, k_r: int, k_b: int,
     pts = rng.uniform(0.0, float(box_size), size=(n, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    return Instance(
-        space=MetricSpace(dist),
-        clients=tuple(range(n_clients)),
-        red=tuple(range(n_clients, n_clients + n_red)),
-        blue=tuple(range(n_clients + n_red, n)),
-        k_r=k_r,
-        k_b=k_b,
-    )
+    return Instance(space=MetricSpace(dist), clients=tuple(range(n_clients)),
+                    red=tuple(range(n_clients, n_clients + n_red)),
+                    blue=tuple(range(n_clients + n_red, n)), k_r=k_r, k_b=k_b)
 
 
 def serialize(inst: Instance) -> bytes:
+    if len(inst.space.ids) < inst.space.n:  # a matrix document needs every row
+        raise ValueError(f"cannot serialize a space holding {len(inst.space.ids)} of {inst.space.n} rows")
     rows = inst.space.dist.tolist()
     matrix = rows if inst.space.integral else [list(map(repr, row)) for row in rows]
-    doc = {
-        "n": inst.space.n,
-        "metric": {"matrix": matrix},
-        "clients": list(inst.clients),
-        "red": list(inst.red),
-        "blue": list(inst.blue),
-        "k_r": inst.k_r,
-        "k_b": inst.k_b,
-    }
+    doc = {"n": inst.space.n, "metric": {"matrix": matrix}, "clients": list(inst.clients),
+           "red": list(inst.red), "blue": list(inst.blue), "k_r": inst.k_r, "k_b": inst.k_b}
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
@@ -257,9 +242,10 @@ def _int_list(doc: dict, key: str) -> list:
     return val
 
 
-def _load_object(data, what: str) -> dict:
+def _load_object(data, what: str, parse_float=None) -> dict:
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
+                         parse_float=parse_float)
     except ValueError as e:  # bad JSON or bad UTF-8
         raise FormatError(f"malformed {what}: {e}") from None
     if not isinstance(doc, dict):
@@ -269,8 +255,16 @@ def _load_object(data, what: str) -> dict:
 
 def parse(data) -> Instance:
     """Parse an instance document (bytes or str). Raises FormatError or
-    InstanceError; both are input errors as far as callers are concerned."""
-    doc = _load_object(data, "instance document")
+    InstanceError; both are input errors as far as callers are concerned.
+    Floats load as text, for `from_matrix` to convert only what it reads;
+    a failing document loads again with floats, so a message shows 3.5."""
+    try:
+        return _instance(_load_object(data, "instance document", parse_float=str))
+    except InputError:
+        return _instance(_load_object(data, "instance document"))
+
+
+def _instance(doc: dict) -> Instance:
     n = _require(doc, "n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise FormatError(f"'n' must be a nonnegative integer, got {n!r}")
@@ -281,9 +275,7 @@ def parse(data) -> Instance:
 
     if "matrix" in metric_doc:
         matrix = metric_doc["matrix"]
-        if not isinstance(matrix, list) or len(matrix) != n or any(
-            not isinstance(r, list) or len(r) != n for r in matrix
-        ):
+        if not isinstance(matrix, list) or len(matrix) != n:  # from_matrix checks the rows
             raise FormatError(f"metric matrix must be {n}x{n}")
         space = from_matrix(matrix, roles["red"] + roles["blue"])
     elif "graph" in metric_doc:

@@ -151,12 +151,14 @@ def _swap_sizes(inst: Instance, p: int) -> tuple:
 
 
 def _client_rows(inst: Instance):
-    """(rows, fill): rows[f] holds location f's distance to each client,
-    in `inst.clients` order, C-contiguous so that rows gather fast; fill,
-    no less than any distance, is the minimum over an empty set of
-    locations."""
-    rows = inst.space.dist.take(np.asarray(inst.clients, dtype=np.intp), axis=1)
-    return rows, np.iinfo(rows.dtype).max if inst.space.integral else np.inf
+    """(rows, fill, at): rows[at[f]] holds facility f's distance to each
+    client, in `inst.clients` order, C-contiguous so that rows gather fast,
+    red rows first; fill, no less than any distance, is the empty minimum."""
+    fac = inst.red + inst.blue
+    rows = inst.space.rows(fac).take(np.asarray(inst.clients, dtype=np.intp), axis=1)
+    at = np.zeros(inst.space.n, dtype=np.intp)
+    at[list(fac)] = np.arange(len(fac))
+    return rows, np.iinfo(rows.dtype).max if inst.space.integral else np.inf, at
 
 
 def _subset_minima(rows: np.ndarray, combos, fill) -> np.ndarray:
@@ -266,18 +268,18 @@ def _plan(red: tuple, blue: tuple, sizes: tuple, per: int) -> tuple:
 
 class _Colour:
     """A colour's state rows in one scan, built from its plan sides through
-    its ids: the whole table where the plan prices whole tables, else each
-    side's minima over what each close set keeps and over each open set,
-    when first needed."""
+    its ids and their rows `at`: the whole table where the plan prices
+    whole tables, else each side's minima over what each close set keeps
+    and over each open set, when first needed."""
 
-    def __init__(self, rows, fill, ids, sides, per):
-        self.rows, self.fill, self.ids, self.per = rows, fill, ids, per
+    def __init__(self, rows, fill, ids, at, sides, per):
+        self.rows, self.fill, self.ids, self.at, self.per = rows, fill, ids, at[ids], per
         self.closes, self.kept, self.opens, self.first, self.open_after = sides
         self.memo, self.table = {}, None
 
     def whole(self):
         if self.table is None:
-            self.table = _subset_minima(self.rows, self.ids[self.open_after], self.fill)
+            self.table = _subset_minima(self.rows, self.at[self.open_after], self.fill)
         return self.table
 
     def tables(self, i):
@@ -285,8 +287,8 @@ class _Colour:
         if self.open_after is not None:
             return None, None, self.whole()[self.first[i] : self.first[i + 1]]
         if i not in self.memo:
-            kept = _subset_minima(self.rows, self.ids[self.kept[i]], self.fill)
-            added = _subset_minima(self.rows, self.ids[self.opens[i]], self.fill)
+            kept = _subset_minima(self.rows, self.at[self.kept[i]], self.fill)
+            added = _subset_minima(self.rows, self.at[self.opens[i]], self.fill)
             fits = len(kept) * len(added) <= self.per
             self.memo[i] = (kept, added, _states(kept, added) if fits else None)
         return self.memo[i]
@@ -311,12 +313,12 @@ def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accep
     ties to the lowest index. Returns (canonical index, move, new total),
     or None when no move qualifies.
     """
-    rows, fill = client_rows
+    rows, fill, at = client_rows
     per = _block_moves(rows.shape[1])
     colours = ((sol.R, inst.red), (sol.B, inst.blue))
     *sides, _, steps = _plan(*((len(chosen), len(pool) - len(chosen)) for chosen, pool in colours), sizes, per)
     red, blue = (_Colour(rows, fill, np.array(sorted(chosen) + [f for f in pool if f not in chosen],
-                                              dtype=np.intp), own, per)
+                                              dtype=np.intp), at, own, per)
                  for (chosen, pool), own in zip(colours, sides))
     best, done = None, 0  # best: (canonical index, new total, red state, blue state)
     for step, order in steps:

@@ -1,15 +1,17 @@
 """Finite (pseudo)metric spaces over locations 0..n-1.
 
-Distances live in a dense matrix: exact 64-bit integers below 2^62
-whenever every input value is an integer, floats otherwise, and finite
-either way. Zero distance between distinct locations is deliberately
-allowed; several constructions in this package co-locate a client with a
-facility.
+Distances live in dense rows: exact 64-bit integers below 2^62 whenever
+every input value is an integer, floats otherwise, and finite either way.
+Zero distance between distinct locations is deliberately allowed; several
+constructions in this package co-locate a client with a facility.
 
 Spaces come from one of two builders: `from_matrix` validates an explicit
 table, `from_graph` closes a weighted graph under shortest paths and fills
 cross-component pairs with a sentinel larger than any connected distance.
-Both decode their entries with `_decode` and relax with `_relax`.
+Both decode their entries with `_decode` and relax with `_relax`. As the
+package reads only distances with a facility at one end, `from_matrix`
+decodes, checks and keeps only those: a client-to-client entry is checked
+for its JSON kind alone, and a bad value there does not exit 2.
 """
 
 from __future__ import annotations
@@ -48,30 +50,47 @@ class MetricError(InputError):
 
 @dataclass(eq=False)
 class MetricSpace:
-    """Validated symmetric distance table with zero diagonal.
+    """Validated distance rows, symmetric with zero diagonal where read.
 
-    `dist` is an (n, n) int64 or float64 numpy array; `n` and `integral`
-    are read off it. Treated as immutable after construction.
+    `dist` is a (len(ids), n) int64 or float64 numpy array holding the
+    rows of the ascending ids `ids`, every location when left out; `rows`
+    reads it by id. A space from a matrix document holds its facility rows
+    alone, and a client-to-client entry there was checked for its JSON kind
+    only, so a bad value there does not exit 2. `n` and `integral` are
+    read off the rows. Treated as immutable after construction.
     """
 
     dist: np.ndarray
+    ids: np.ndarray | None = None
 
     def __post_init__(self):
         self.dist.flags.writeable = False
+        self.ids = np.arange(len(self.dist)) if self.ids is None else np.asarray(self.ids, dtype=np.intp)
+        self._at = np.full(self.n, -1, dtype=np.intp)  # the row of each id, -1 where none
+        self._at[self.ids] = np.arange(len(self.ids))
 
     @property
     def n(self) -> int:
-        return len(self.dist)
+        return self.dist.shape[1]
 
     @property
     def integral(self) -> bool:
         return self.dist.dtype == np.int64
 
+    def rows(self, ids) -> np.ndarray:
+        """A new array of d(i, x) for each i of `ids`, an id array of any
+        shape, and every location x. A MetricError if some i has no row."""
+        at = np.asarray(ids, dtype=np.intp)
+        if len(self.ids) < self.n:  # not every row is held: find each, and refuse a missing one
+            at = self._at[at]
+            if at.min(initial=0) < 0:
+                raise MetricError(f"no distance row held for locations {np.asarray(ids)[at < 0].tolist()}")
+        return self.dist.take(at, axis=0)
 
-def _decode(rows) -> np.ndarray:
-    """Nested rows of ints, floats or decimal strings (the JSON forms) as
-    one array: int64 if every entry is an int, else float64, strings read as
-    `float` reads them. Other entries, or ones that do not fit, are a FormatError."""
+
+def _kind(rows):
+    """int64 if every entry of the nested rows is an int, else float64; rows
+    that are not lists, or entries not of a JSON form, are a FormatError."""
     for row in (rows if isinstance(rows, (list, tuple)) else [rows]):
         if not isinstance(row, (list, tuple)):
             raise FormatError(f"distance table rows must be lists, got {row!r}")
@@ -79,9 +98,13 @@ def _decode(rows) -> np.ndarray:
     if not kinds <= _ENTRY_TYPES:
         bad = next(x for x in chain.from_iterable(rows) if type(x) not in _ENTRY_TYPES)
         raise FormatError(f"distance entries must be numbers or decimal strings, got {bad!r}")
-    if not rows:  # no rows is the 0 x 0 table, not a 1-D array
-        return np.zeros((0, 0), dtype=np.int64)
-    dtype = np.int64 if kinds <= {int} else np.float64
+    return np.int64 if kinds <= {int} else np.float64
+
+
+def _decode(rows, dtype=None) -> np.ndarray:
+    """Nested rows of JSON-form entries as one array of `dtype`, by default
+    `_kind`'s, strings read as `float` reads them; a FormatError if one does not fit."""
+    dtype = dtype or _kind(rows)
     try:
         return np.array(rows, dtype=dtype)
     except OverflowError:
@@ -100,19 +123,37 @@ def _relax(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 
 def from_matrix(table, facilities=None) -> MetricSpace:
-    """Validate a square distance table and wrap it as a MetricSpace.
+    """Validate a square distance table and wrap the rows of `facilities`,
+    ids in 0..n-1 (every row when None), as a MetricSpace.
 
     table is nested rows of ints, floats or decimal strings, the JSON
-    form. Every entry is checked for type, finiteness, sign, symmetry and
-    the diagonal; the triangle inequality only where one end is among
-    `facilities`, ids in 0..n-1 (all locations when None), as
-    `_check_triangle` says. Raises MetricError with witnessing indices on
-    the first failure found.
+    form, int64 only if every entry is an int. Every entry is checked for
+    its kind; only those with a facility at one end, which the package
+    reads, are decoded (d(x, f) only where its text differs from d(f, x)'s)
+    and checked for finiteness, sign, symmetry, the diagonal and, as
+    `_check_triangle` says, the triangle inequality. Raises MetricError
+    with witnessing indices on the first failure found.
     """
-    arr = _decode(table)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise MetricError(f"distance table must be square, got shape {arr.shape}")
-    n = arr.shape[0]
+    dtype = _kind(table)
+    n = len(table)
+    if any(len(row) != n for row in table):
+        raise MetricError(f"distance table must be square, got {n} rows of sizes {sorted({*map(len, table)})}")
+    facilities = range(n) if facilities is None else facilities
+    stray = [f for f in facilities if not 0 <= f < n]
+    if stray:  # numpy would wrap a negative id to a real row
+        raise MetricError(f"facility ids {stray} are outside 0..{n - 1}")
+    is_facility = np.zeros(n, dtype=bool)
+    is_facility[list(facilities)] = True
+    fac = np.flatnonzero(is_facility)
+
+    arr = np.zeros((n, n), dtype=dtype)  # client-to-client entries stay 0, so no check flags one
+    arr[fac] = _decode([table[f] for f in fac.tolist()], dtype).reshape(len(fac), n)
+    arr[:, fac] = arr[fac].T  # d(x, f) is d(f, x) where the two texts agree
+    for f in fac.tolist():
+        row, col = list(table[f]), [r[f] for r in table]
+        if row != col:
+            xs = [x for x in range(n) if row[x] != col[x]]
+            arr[xs, f] = _decode([[col[x] for x in xs]], dtype)[0]
 
     for bad, what in (
         (~np.isfinite(arr), "non-finite distance"),
@@ -131,11 +172,11 @@ def from_matrix(table, facilities=None) -> MetricSpace:
         raise MetricError(
             f"integer distance {arr.max()} is not below 2^62: two could overflow int64")
 
-    _check_triangle(arr, range(n) if facilities is None else facilities)
-    return MetricSpace(arr)
+    _check_triangle(arr, is_facility)
+    return MetricSpace(arr[fac], fac)
 
 
-def _check_triangle(arr: np.ndarray, facilities) -> None:
+def _check_triangle(arr: np.ndarray, is_facility: np.ndarray) -> None:
     """Check the entries with a facility at one end in two O(F^2 n) passes:
     (1) d(f, g) <= d(f, x) + d(x, g) for facilities f, g, any location x;
     (2) d(f, c) <= d(f, g) + d(g, c) for a client c, any facility g; a
@@ -148,11 +189,6 @@ def _check_triangle(arr: np.ndarray, facilities) -> None:
     hop leaves a facility. With every location a facility, (2) is empty
     and (1) is the full check."""
     tau = 0.0 if arr.dtype == np.int64 else FLOAT_TOL
-    stray = [f for f in facilities if not 0 <= f < len(arr)]
-    if stray:  # numpy would wrap a negative id to a real row
-        raise MetricError(f"facility ids {stray} are outside 0..{len(arr) - 1}")
-    is_facility = np.zeros(len(arr), dtype=bool)
-    is_facility[list(facilities)] = True
     fac, cli = np.flatnonzero(is_facility), np.flatnonzero(~is_facility)
     to_fac = arr[:, fac]  # d(x, f), a row per location
     ff, fc = to_fac[fac], arr[np.ix_(fac, cli)]

@@ -63,10 +63,13 @@ def random_feasible(rng: random.Random, inst: Instance) -> Solution:
 
 
 def same_instance(a: Instance, b: Instance) -> bool:
-    """Same roles, budgets and distance table, of the same kind."""
-    return ((a.clients, a.red, a.blue, a.k_r, a.k_b, a.space.integral)
-            == (b.clients, b.red, b.blue, b.k_r, b.k_b, b.space.integral)
-            and np.array_equal(a.space.dist, b.space.dist))
+    """Same roles, budgets and facility rows, of the same kind: the
+    entries the package reads, so a space built from a matrix document,
+    which holds its facility rows only, can equal a full one."""
+    fac = a.red + a.blue
+    return ((a.clients, a.red, a.blue, a.k_r, a.k_b, a.space.integral, a.space.n)
+            == (b.clients, b.red, b.blue, b.k_r, b.k_b, b.space.integral, b.space.n)
+            and np.array_equal(a.space.rows(fac), b.space.rows(fac)))
 
 
 def line_instance(positions_clients, positions_red, positions_blue, k_r, k_b) -> Instance:

@@ -35,17 +35,23 @@ from rbmedian.local_search import SwapMove, _client_rows, _plan, _scan, _swap_si
 _INF = float("inf")
 
 
+def facility_distances(inst: Instance) -> list:
+    """Per client, in inst.clients order, a dict from each facility id to
+    its distance, read from the facility rows, which every space holds."""
+    fac = inst.red + inst.blue
+    rows = inst.space.rows(fac).tolist()
+    return [{f: row[j] for f, row in zip(fac, rows)} for j in inst.clients]
+
+
 def scalar_evaluate(inst: Instance, sol: Solution):
     """(facility, distance, total) as Python lists and scalars, aligned
     with inst.clients: nearest open facility, ties to the lowest index,
     summed left to right from int 0."""
     check_feasible(inst, sol)
     open_fac = sorted(sol.facilities())
-    rows = inst.space.dist.tolist()
     facility, distance = [], []
     total = 0
-    for j in inst.clients:
-        row = rows[j]
+    for row in facility_distances(inst):
         best_f = open_fac[0]
         best_d = row[best_f]
         for f in open_fac[1:]:
@@ -67,12 +73,11 @@ class DeltaEvaluator:
     per move.
     """
 
-    def __init__(self, inst: Instance, assignment: Assignment):
-        rows = inst.space.dist.tolist()
-        self.client_rows = [rows[j] for j in inst.clients]
+    def __init__(self, inst: Instance, sol: Solution, assignment: Assignment):
+        self.client_rows = facility_distances(inst)
         self.current = assignment.distance.tolist()
         self.serving = assignment.facility.tolist()
-        self.open_sorted = sorted(assignment.solution.facilities())
+        self.open_sorted = sorted(sol.facilities())
 
     def delta(self, move: SwapMove):
         closing = frozenset(move.close_red) | frozenset(move.close_blue)
@@ -120,12 +125,12 @@ def neighborhood(inst: Instance, sol: Solution, p: int):
     return plan_moves(inst, sol, _swap_sizes(inst, p))
 
 
-def delta_cost(inst: Instance, assignment: Assignment, move: SwapMove):
-    """Cost change of one move, priced by the search's own kernel: `_scan`
-    over the move's swap-size group alone, so that the identity move, which
-    no neighborhood holds, is priced too, accepting that move alone. Each
-    side of `move` may list its ids in any order."""
-    sol, total = assignment.solution, assignment.total
+def delta_cost(inst: Instance, sol: Solution, move: SwapMove):
+    """Cost change of one move from `sol`, priced by the search's own
+    kernel: `_scan` over the move's swap-size group alone, so that the
+    identity move, which no neighborhood holds, is priced too, accepting
+    that move alone. Each side of `move` may list its ids in any order."""
+    total = evaluate(inst, sol).total
     sizes = ((len(move.close_red), len(move.close_blue)),)
     move = SwapMove(*(tuple(sorted(ids)) for ids in vars(move).values()))
     target = list(plan_moves(inst, sol, sizes)).index(move)
@@ -149,7 +154,7 @@ def deficiency(members, s_sol: Solution, o_sol: Solution) -> int:
 def oracle_moves(inst: Instance, sol: Solution, p: int):
     """(assignment, [(move, delta), ...]) over the neighborhood, canonical order."""
     assignment = evaluate(inst, sol)
-    ev = DeltaEvaluator(inst, assignment)
+    ev = DeltaEvaluator(inst, sol, assignment)
     return assignment, [(mv, ev.delta(mv)) for mv in neighborhood(inst, sol, p)]
 
 

@@ -284,6 +284,100 @@ class TestBadDistanceData:
         assert captured.err.startswith("error: " + message.format(bad=bad))
 
 
+def put_value(value):
+    def plant(table, i, j):
+        table[i][j] = table[j][i] = value
+    return plant
+
+
+def put_diagonal(table, i, j):
+    table[j][j] = 5
+
+
+def put_asymmetry(table, i, j):
+    table[i][j] += 1
+
+
+# Ways to spoil a table at the position pair (i, j), (j, i).
+SPOILERS = {"negative": put_value(-1), "nan": put_value("nan"), "2^63": put_value(2**63),
+            "abc": put_value("abc"), "diagonal": put_diagonal, "asymmetric": put_asymmetry}
+# Positions of each kind in `line_table`: clients 0-2, red 3, blue 4.
+SPOTS = {"client-client": (0, 1), "client-facility": (0, 3), "facility-facility": (3, 4)}
+
+
+def line_table(floats, spoiler=None, spot=None):
+    """Distances between five points on a line, as JSON floats when
+    `floats`, spoiled at one spot when given."""
+    xs = [x + 0.5 for x in (0, 2, 5, 1, 4)] if floats else [0, 2, 5, 1, 4]
+    table = [[abs(a - b) for b in xs] for a in xs]
+    if spoiler:
+        spoiler(table, *SPOTS[spot])
+    return table
+
+
+def run_table(tmp_path, capsys, table, command):
+    """(exit code, stdout, stderr) of `command` on the line instance with `table`."""
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"n": 5, "metric": {"matrix": table}, "clients": [0, 1, 2],
+                                "red": [3], "blue": [4], "k_r": 1, "k_b": 1}))
+    code = main([command, str(path)])
+    return (code, *capsys.readouterr())
+
+
+class TestClientClientEntries:
+    """Only distances with a facility at one end are read, so only those are
+    checked beyond their JSON kind: a bad client-to-client entry is no input
+    error, while the same value where a facility is at one end still is."""
+
+    # a string makes the whole table float, so it is planted in float tables only
+    @pytest.mark.parametrize("floats, spoiler", [(floats, spoiler) for floats in (False, True)
+                                                 for spoiler in SPOILERS
+                                                 if floats or spoiler not in ("nan", "abc")])
+    def test_bad_entry_changes_no_output(self, tmp_path, capsys, floats, spoiler):
+        table = line_table(floats, SPOILERS[spoiler], "client-client")
+        for command in ("solve", "exact"):
+            clean = run_table(tmp_path, capsys, line_table(floats), command)
+            assert clean[0] == EXIT_OK
+            assert run_table(tmp_path, capsys, table, command) == clean
+
+    @pytest.mark.parametrize("floats, spot, spoiler, message", [
+        (False, "client-facility", "negative", "negative distance -1 at (0, 3)"),
+        (False, "client-facility", "2^63", "integer distance 9223372036854775808 does not fit int64"),
+        (False, "client-facility", "diagonal", "nonzero diagonal 5 at (3, 3)"),
+        (False, "client-facility", "asymmetric", "asymmetry at (0, 3): 2 != 1"),
+        (False, "facility-facility", "negative", "negative distance -1 at (3, 4)"),
+        (False, "facility-facility", "2^63", "integer distance 9223372036854775808 does not fit int64"),
+        (False, "facility-facility", "diagonal", "nonzero diagonal 5 at (4, 4)"),
+        (False, "facility-facility", "asymmetric", "asymmetry at (3, 4): 4 != 3"),
+        (True, "client-facility", "negative", "negative distance -1.0 at (0, 3)"),
+        (True, "client-facility", "nan", "non-finite distance nan at (0, 3)"),
+        (True, "client-facility", "2^63", "triangle violation at (3, 0): 9.223372036854776e+18 > 3.0 + 4.0 via 4"),
+        (True, "client-facility", "abc", "bad distance data: could not convert string to float: 'abc'"),
+        (True, "client-facility", "diagonal", "nonzero diagonal 5.0 at (3, 3)"),
+        (True, "client-facility", "asymmetric", "asymmetry at (0, 3): 2.0 != 1.0"),
+        (True, "facility-facility", "negative", "negative distance -1.0 at (3, 4)"),
+        (True, "facility-facility", "nan", "non-finite distance nan at (3, 4)"),
+        (True, "facility-facility", "2^63", "triangle violation at (3, 4): 9.223372036854776e+18 > 1.0 + 2.0 via 1"),
+        (True, "facility-facility", "abc", "bad distance data: could not convert string to float: 'abc'"),
+        (True, "facility-facility", "diagonal", "nonzero diagonal 5.0 at (4, 4)"),
+        (True, "facility-facility", "asymmetric", "asymmetry at (3, 4): 4.0 != 3.0"),
+    ])
+    def test_bad_entry_at_a_facility_keeps_its_message(self, tmp_path, capsys, floats, spot,
+                                                       spoiler, message):
+        # the messages are those of the full-table check that came before
+        for command in ("solve", "exact"):
+            table = line_table(floats, SPOILERS[spoiler], spot)
+            assert run_table(tmp_path, capsys, table, command) == (EXIT_INPUT_ERROR, "",
+                                                                   f"error: {message}\n")
+
+    @pytest.mark.parametrize("spot", SPOTS)
+    @pytest.mark.parametrize("entry", [True, None, [1]], ids=["true", "null", "list"])
+    def test_bad_kind_anywhere_is_an_input_error(self, tmp_path, capsys, entry, spot):
+        code, out, err = run_table(tmp_path, capsys, line_table(True, put_value(entry), spot), "exact")
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert "distance entries must be numbers or decimal strings" in err
+
+
 class TestVerify:
     def test_optimal_solution_passes(self, tmp_path, capsys):
         inst = line_instance([0, 9], [1, 8], [4, 5], k_r=1, k_b=1)

@@ -25,7 +25,7 @@ from rbmedian.instance import (
     serialize,
     serialize_solution,
 )
-from rbmedian.metric import MetricSpace
+from rbmedian.metric import MetricSpace, from_matrix
 
 # Frozen at first generation; any change to the generator or the format is a break.
 GOLDEN_SHA256 = "bfb2b717dc1cd86a85a9876033637839e154484b0c7af6307fe8230ae06c094a"
@@ -103,8 +103,8 @@ class TestInstanceValidation:
                 dist[i, j] = dist[j, i] = 2**61
             return json.dumps({"n": 6, "metric": {"matrix": dist.tolist()}, "clients": [0, 1, 2, 3],
                                "red": [4], "blue": [5], "k_r": 1, "k_b": 1})
-        # a client-client entry is in no cost
-        assert parse(doc((0, 1))).space.dist[0, 1].item() == 2**61
+        # a client-client entry is in no cost, and the space holds no client's row
+        assert parse(doc((0, 1))).space.ids.tolist() == [4, 5]
         # in both facility rows, so that d(4, 0) <= d(4, 5) + d(5, 0) still holds
         with pytest.raises(InstanceError, match=r"2\^63"):
             parse(doc((4, 0), (5, 0)))
@@ -281,6 +281,22 @@ class TestSerialization:
             inst = random_sized_grid(rng)
             assert same_instance(parse(serialize(inst)), inst)
 
+    def test_every_entry_round_trips_through_from_matrix(self):
+        # without facilities, from_matrix decodes and checks every entry
+        rng = random.Random(11)
+        for inst in [random_sized_grid(rng) for _ in range(10)] + [
+                gen_euclidean(6, 3, 3, 1, 1, box_size=50.0, seed=seed) for seed in range(10)]:
+            space = from_matrix(json.loads(serialize(inst))["metric"]["matrix"])
+            assert space.ids.tolist() == list(range(inst.space.n))
+            assert space.dist.dtype == inst.space.dist.dtype
+            assert space.dist.tobytes() == inst.space.dist.tobytes()
+
+    def test_a_space_without_every_row_is_not_serialized(self):
+        inst = parse(serialize(grid_instance(random.Random(3), 4, 2, 2, 1, 1)))
+        assert inst.space.ids.tolist() == [4, 5, 6, 7]
+        with pytest.raises(ValueError, match="holding 4 of 8 rows"):
+            serialize(inst)
+
     def test_round_trip_float(self):
         for seed in range(10):
             inst = gen_euclidean(5, 3, 3, 1, 1, seed=seed)
@@ -335,6 +351,22 @@ class TestSerialization:
         ) % (k_r.encode(), k_b.encode())
         with pytest.raises(FormatError, match=f"'{key}' must be an integer"):
             parse(doc)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"n": 2', '"n": 2.5', "'n' must be a nonnegative integer, got 2.5"),
+        ('"n": 2', '"n": "2.5"', "'n' must be a nonnegative integer, got '2.5'"),
+        ('"k_r": 1', '"k_r": 1.0', "'k_r' must be an integer, got 1.0"),
+        ('"k_b": 0', '"k_b": 1e400', "'k_b' must be an integer, got inf"),
+        ('"red": [1]', '"red": [1.0]', "'red' must be a list of integers"),
+    ], ids=["n", "n-string", "k_r", "k_b", "red"])
+    def test_json_floats_outside_the_matrix_read_as_numbers(self, old, new, message):
+        # a matrix keeps its floats as text, yet a message shows a float as a number
+        doc = ('{"n": 2, "metric": {"matrix": [[0, 1.5], [1.5, 0]]},'
+               ' "clients": [0], "red": [1], "blue": [], "k_r": 1, "k_b": 0}')
+        assert parse(doc).space.rows([1]).tolist() == [[1.5, 0.0]]
+        with pytest.raises(FormatError) as exc:
+            parse(doc.replace(old, new))
+        assert str(exc.value) == message
 
     def test_fractional_distances_survive_as_decimal_strings(self):
         inst = gen_euclidean(3, 2, 2, 1, 1, seed=1)

@@ -30,7 +30,7 @@ def scan(inst, sol, p, accept=None):
     return ls._scan(inst, ls._client_rows(inst), sol, total, ls._swap_sizes(inst, p), accept)
 
 
-def kernel_deltas(inst, assignment, p):
+def kernel_deltas(inst, sol, p):
     """Every delta the kernel computes, in the order it computes them."""
     seen = []
 
@@ -38,11 +38,11 @@ def kernel_deltas(inst, assignment, p):
         seen.extend(deltas.tolist())
         return np.zeros(len(deltas), dtype=bool)
 
-    assert scan(inst, assignment.solution, p, record) is None
+    assert scan(inst, sol, p, record) is None
     return seen
 
 
-def kernel_move_at(inst, assignment, p, target):
+def kernel_move_at(inst, sol, p, target):
     """What the kernel reports for the move at canonical index `target`."""
     seen = 0
 
@@ -54,8 +54,8 @@ def kernel_move_at(inst, assignment, p, target):
         seen += len(deltas)
         return mask
 
-    index, move, new_total = scan(inst, assignment.solution, p, hit)
-    return index, move, new_total - assignment.total
+    index, move, new_total = scan(inst, sol, p, hit)
+    return index, move, new_total - evaluate(inst, sol).total
 
 
 def near_tie(moves, pick, rule, total, epsilon, n, tol):
@@ -82,7 +82,7 @@ def check_against_oracle(inst, sol, p):
         return got == want if not tol else abs(got - want) <= tol
 
     # every move's delta, in canonical order
-    got = kernel_deltas(inst, assignment, p)
+    got = kernel_deltas(inst, sol, p)
     assert len(got) == len(moves)
     for (mv, want), d in zip(moves, got):
         assert same(d, want), (mv, d, want)
@@ -92,7 +92,7 @@ def check_against_oracle(inst, sol, p):
     # the move and index reported for a sample of positions
     targets = random.Random(len(moves)).sample(range(len(moves)), min(len(moves), 8))
     for target in sorted({0, len(moves) - 1, *targets} if moves else ()):
-        index, move, delta = kernel_move_at(inst, assignment, p, target)
+        index, move, delta = kernel_move_at(inst, sol, p, target)
         assert (index, move) == (target, moves[target][0])
         assert same(delta, moves[target][1])
 
@@ -257,7 +257,7 @@ def test_priced_totals_are_evaluates(n_clients, n_blue, k_b, p):
     sol = ls._random_solution(inst, 0)
     assignment = evaluate(inst, sol)
     for target in random.Random(n_clients).sample(range(ls.neighborhood_size(inst, p)), 12):
-        index, move, delta = kernel_move_at(inst, assignment, p, target)
+        index, move, delta = kernel_move_at(inst, sol, p, target)
         assert evaluate(inst, ls.apply_move(sol, move)).total - assignment.total == delta
 
 
@@ -268,7 +268,7 @@ def test_delta_cost_matches_oracle_move_by_move():
         sol = random_feasible(rng, inst)
         assignment, moves = oracle_moves(inst, sol, 2)
         for mv, want in moves:
-            assert delta_cost(inst, assignment, mv) == want
+            assert delta_cost(inst, sol, mv) == want
 
 
 def test_scan_memory_is_bounded():

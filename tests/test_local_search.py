@@ -37,24 +37,21 @@ def random_move(rng, inst, sol):
 class TestDeltaCost:
     def test_empty_move_is_zero(self):
         inst = line_instance([0, 3], [1, 9], [12], k_r=1, k_b=1)
-        a = evaluate(inst, Solution(R={2}, B={4}))
-        assert delta_cost(inst, a, SwapMove()) == 0
+        assert delta_cost(inst, Solution(R={2}, B={4}), SwapMove()) == 0
 
     def test_single_client_swap_matches_distance_difference(self):
         inst = line_instance([0], [2, 9], [30], k_r=1, k_b=0)
-        a = evaluate(inst, Solution(R={1}, B=set()))
         mv = SwapMove(close_red=(1,), open_red=(2,))
-        assert delta_cost(inst, a, mv) == (9 - 2)
+        assert delta_cost(inst, Solution(R={1}, B=set()), mv) == (9 - 2)
 
     def test_matches_scratch_reevaluation_on_1000_random_triples(self):
         rng = random.Random(0xDE1)
         for _ in range(1000):
             inst = random_sized_grid(rng, max_clients=8, max_per_colour=5)
             sol = random_feasible(rng, inst)
-            a = evaluate(inst, sol)
             mv = random_move(rng, inst, sol)
-            expected = evaluate(inst, apply_move(sol, mv)).total - a.total
-            assert delta_cost(inst, a, mv) == expected
+            expected = evaluate(inst, apply_move(sol, mv)).total - evaluate(inst, sol).total
+            assert delta_cost(inst, sol, mv) == expected
 
 
 class TestNeighborhood:

@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import grid_instance
 from oracle import (reference_decode, reference_facility_check, reference_triangle,
                     violating_pairs)
-from rbmedian.instance import FormatError, gen_euclidean, parse, serialize
+from rbmedian.exact import brute_force_opt, is_local_opt
+from rbmedian.instance import FormatError, Instance, Solution, gen_euclidean, parse, serialize
+from rbmedian.local_search import SearchConfig, run
 from rbmedian.metric import (
     FLOAT_TOL,
     MetricError,
     MetricSpace,
     _decode,
+    _kind,
     from_graph,
     from_matrix,
 )
@@ -255,6 +258,84 @@ class TestDecodeOracle:
             from_matrix(table)
 
 
+def value_forms(rng, table):
+    """The metric `table` with each entry written in a JSON form picked at
+    random among those of its value, so that an entry and its mirror image
+    often differ in text but never in value."""
+    def form(v):
+        v = float(v) if type(v) is str else v  # serialize writes floats as repr strings
+        if type(v) is int:
+            return rng.choice([v, str(v)] + ([float(v), repr(float(v))] if abs(v) < 2**53 else []))
+        return rng.choice([v, repr(v), f"{v:.17e}", f"{v:.17g}"])
+    return [[form(v) for v in row] for row in table]
+
+
+def float_document(seed, n_clients=30, n_red=5, n_blue=5, k=2):
+    """A seeded Euclidean document with raw JSON floats, as perfbench writes one."""
+    n = n_clients + n_red + n_blue
+    pts = np.random.default_rng(seed).uniform(0.0, 100.0, size=(n, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    return json.dumps({"n": n, "metric": {"matrix": np.sqrt((diff * diff).sum(axis=2)).tolist()},
+                       "clients": list(range(n_clients)),
+                       "red": list(range(n_clients, n_clients + n_red)),
+                       "blue": list(range(n_clients + n_red, n)), "k_r": k, "k_b": k})
+
+
+def documents():
+    """Serialized grids and Euclidean instances, the same tables in mixed
+    JSON forms, and documents with raw JSON floats."""
+    rng = random.Random(0xFAC0)
+    insts = [grid_instance(rng, rng.randint(1, 12), rng.randint(1, 5), rng.randint(1, 5), 1, 1,
+                           span=rng.choice([5, 10**9])) for _ in range(12)]
+    insts += [gen_euclidean(rng.randint(1, 12), 3, 3, 1, 1, box_size=rng.choice([1.0, 1e-3, 1e12]),
+                            seed=s) for s in range(12)]
+    docs = [serialize(inst) for inst in insts]
+    for doc in docs[:]:
+        mixed = json.loads(doc)
+        mixed["metric"]["matrix"] = value_forms(rng, mixed["metric"]["matrix"])
+        docs.append(json.dumps(mixed))
+    return docs + [float_document(seed) for seed in range(6)]
+
+
+class TestFacilityRowDecode:
+    """A document's space holds its facility rows, decoded from text; the
+    full decode of every entry stays the oracle."""
+
+    def test_facility_rows_match_the_full_decode(self):
+        for doc in documents():
+            rows = json.loads(doc)["metric"]["matrix"]
+            inst = parse(doc)
+            fac = sorted(inst.red + inst.blue)
+            assert inst.space.ids.tolist() == fac
+            assert same_array(inst.space.dist, reference_decode(rows)[fac])
+
+    def test_searches_match_the_full_table(self):
+        for doc in documents():
+            inst = parse(doc)
+            full = Instance(from_matrix(json.loads(doc)["metric"]["matrix"]), inst.clients,
+                            inst.red, inst.blue, inst.k_r, inst.k_b)
+            assert brute_force_opt(inst).to_doc() == brute_force_opt(full).to_doc()
+            for p in (1, 2):
+                for rule in ("best", "first"):
+                    config = SearchConfig(p=p, rule=rule, seed=p)
+                    got = run(inst, config)
+                    assert got.to_doc() == run(full, config).to_doc()
+                    start = Solution(*(frozenset(ids[:k]) for ids, k in
+                                       ((inst.red, inst.k_r), (inst.blue, inst.k_b))))
+                    for sol in (start, got.solution):
+                        assert (is_local_opt(inst, sol, p).to_doc()
+                                == is_local_opt(full, sol, p).to_doc())
+
+    def test_facility_rows_of_mixed_rows_decode_as_the_whole_table(self):
+        # from_matrix decodes a few rows in the type the whole table calls for
+        rng = random.Random(0xD1CF)
+        for t in range(200):
+            rows = mixed_rows(rng, rng.randint(1, 8), integral=t % 4 == 0)
+            fac = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
+            got = _decode([rows[f] for f in fac], _kind(rows))
+            assert same_array(got, reference_decode(rows)[fac])
+
+
 def perturbed(rng, dist, tau, cross):
     """dist with one pair (i, j) set to the largest value the triangle check
     allows via the other points, or to the next float or integer above it."""
@@ -391,7 +472,7 @@ class TestFacilityRows:
 
     def test_client_client_entries_are_not_triangle_checked(self):
         table = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]  # d(0, 2) > d(0, 1) + d(1, 2)
-        assert from_matrix(table, [1]).dist[0, 2].item() == 3  # 0 and 2 are clients
+        assert from_matrix(table, [1]).rows([1]).tolist() == [[1, 0, 1]]  # 0 and 2 are clients
         with pytest.raises(MetricError) as exc:
             from_matrix(table, [0, 1])
         assert exc.value.witness == (0, 1, 2)
