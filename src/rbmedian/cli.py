@@ -99,9 +99,9 @@ def cmd_verify(args) -> int:
     _emit(verdict.to_doc(), args.out)
     if verdict.locally_optimal:
         print(f"locally optimal under swaps of size <= {args.p} "
-              f"({verdict.moves_checked} moves checked)", file=sys.stderr)
+              f"({verdict.moves_checked} moves checked, by {verdict.method})", file=sys.stderr)
         return EXIT_OK
-    print(f"improving move found after {verdict.moves_checked} moves, "
+    print(f"improving move found by {verdict.method} after {verdict.moves_checked} moves, "
           f"delta {verdict.witness_delta}", file=sys.stderr)
     return EXIT_VERIFICATION_FAILED
 

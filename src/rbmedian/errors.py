@@ -22,7 +22,12 @@ class FormatError(InputError):
 
 
 class CapExceeded(Error):
-    """An exhaustive enumeration was refused because it exceeds the cap."""
+    """An exhaustive enumeration was refused because it exceeds the cap;
+    `method` names the route refused."""
+
+    def __init__(self, message: str, method: str | None = None):
+        super().__init__(message)
+        self.method = method
 
 
 class InternalInvariantError(Error):

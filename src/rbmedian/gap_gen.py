@@ -160,7 +160,8 @@ class GapVerifyReport:
     """Per-check status: 'pass', 'fail', or 'skipped: <reason>'.
 
     Checks too large for the cap are skipped with the count that tripped
-    it; a skip is not a pass. `methods` names how each search decides.
+    it; a skip is not a pass. `methods` names the route each search took,
+    or was refused on.
     """
 
     params: GapParams
@@ -215,8 +216,7 @@ def verify(gap: GapInstance, exhaustive_cap: int = DEFAULT_CAP) -> GapVerifyRepo
     }
     witness = None
     bound_met = lower_bound(inst) == _exact_sum(reference.distance)
-    methods = {"global_is_optimum": "lower bound" if bound_met else "brute force",
-               "locally_optimal": "enumeration"}
+    methods = {"global_is_optimum": "lower bound" if bound_met else "brute force"}
 
     def optimum():
         opt = global_cost if bound_met else brute_force_opt(inst, cap=exhaustive_cap).cost
@@ -225,7 +225,7 @@ def verify(gap: GapInstance, exhaustive_cap: int = DEFAULT_CAP) -> GapVerifyRepo
     def no_improving_swap():
         nonlocal witness
         verdict = is_local_opt(inst, gap.local_solution, gap.params.p, cap=exhaustive_cap)
-        witness = verdict.witness
+        witness, methods["locally_optimal"] = verdict.witness, verdict.method
         if verdict.locally_optimal:
             return "pass"
         return f"fail: improving move found with delta {verdict.witness_delta}"
@@ -234,6 +234,6 @@ def verify(gap: GapInstance, exhaustive_cap: int = DEFAULT_CAP) -> GapVerifyRepo
         try:
             checks[name] = check()
         except CapExceeded as e:
-            checks[name] = f"skipped: {e}"
+            checks[name], methods[name] = f"skipped: {e}", e.method
 
     return GapVerifyReport(gap.params, local_cost, global_cost, checks, methods, witness)

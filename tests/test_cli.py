@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from rbmedian.cli import (
     main,
     run_experiment,
 )
-from rbmedian.exact import brute_force_opt, is_local_opt
+from rbmedian.exact import brute_force_opt, is_local_opt, lower_bound
 from rbmedian.instance import Instance, Solution, gen_euclidean, serialize, serialize_solution
 from rbmedian.local_search import SearchConfig, _plan, run
 from rbmedian.metric import MetricSpace
@@ -399,6 +400,26 @@ class TestVerify:
         assert doc["witness"]["open_red"] == [3]
         assert doc["witness"]["delta"] < 0
 
+    def test_stderr_names_the_route(self, tmp_path, capsys):
+        # the (1, 4) member: its designated solution passes by island tables;
+        # with the hub traded for a reference red, the scan finds a witness
+        out = tmp_path / "family"
+        assert main(["gengap", "--p", "1", "--ell", "4", "--out", str(out)]) == EXIT_OK
+        ipath, lpath = str(out / "instance.json"), str(out / "local.json")
+        capsys.readouterr()
+        assert main(["verify", ipath, lpath]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert set(json.loads(captured.out)) == {"locally_optimal", "moves_checked"}
+        assert captured.err == ("locally optimal under swaps of size <= 1 "
+                                "(129 moves checked, by island tables)\n")
+        local = json.loads((out / "local.json").read_text())
+        worse = put_solution(tmp_path, Solution(R=set(local["R"]) - {min(local["R"])} | {13},
+                                                B=set(local["B"])), "worse.json")
+        assert main(["verify", ipath, worse]) == EXIT_VERIFICATION_FAILED
+        captured = capsys.readouterr()
+        assert set(json.loads(captured.out)) == {"locally_optimal", "moves_checked", "witness"}
+        assert captured.err.startswith("improving move found by enumeration after ")
+
 
 class TestChecksAtEntry:
     """A bad parameter or solution is an input error before any scan runs:
@@ -521,13 +542,15 @@ class TestGengap:
         assert main(["gengap", "--p", "2", "--ell", "2"]) == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("p, ell, digest", [
-        (1, 2, "a082a7bc0aa890785b7b5465fb9cd36d984b8e84ccc0f1722bd9e8954093cfea"),
-        (2, 4, "be1da0d57537fbad6e4b1c24945600f7d7ef172c64c7caa9e40b55e5f1dc51a4"),
-        (3, 6, "501ec857245f77e646bbb45e4b811ca3f6cb2d80b8bedfbc30178f2bc6dc4672"),
+        (1, 2, "7f24d41c8f2b1902606d55017713a509fd8bda043bdb1727d8c2127b1f13ddcc"),
+        (2, 4, "99e64cc239b2a85bfdb12b33c5ade4e09ee71a2ab706263357fb3663f61ac232"),
+        (3, 6, "6bcf70d9f2b313522215393bb8ac498642793ae0e23ddf52fd1f94e25fcb08cf"),
     ], ids=["1-2", "2-4", "3-6"])
     def test_family_bytes_unchanged(self, tmp_path, capsys, p, ell, digest):
         # One digest over the four --out files, in this order, then the
-        # --verify report at the default cap.
+        # --verify report at the default cap, whose locally_optimal check
+        # passes by island tables (at (3, 6) the scan's 125,127,497 moves
+        # exceed the cap).
         argv = ["gengap", "--p", str(p), "--ell", str(ell)]
         out = tmp_path / "family"
         assert main([*argv, "--out", str(out)]) == EXIT_OK
@@ -734,3 +757,34 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
         assert file.read_bytes() == b"kept" and not (tmp_path / "missing").exists()
+
+
+class TestLowerBound:
+    """No cost that `solve`, `exact` or `experiment` reports falls below
+    `lower_bound`: exactly for integer tables; for float ones, a float sum
+    of n nonnegative terms may round below the exact sum by a relative
+    (n-1)u/(1-(n-1)u) (u = 2^-53), which n/2^53 covers."""
+
+    def test_no_reported_cost_falls_below_the_bound(self, tmp_path, capsys):
+        rng = random.Random(0x1B0)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        insts = [grid_instance(rng, 30, 6, 6, 2, 2) for _ in range(3)]
+        insts += [gen_euclidean(30, 6, 6, 2, 2, box_size=10.0, seed=seed) for seed in range(3)]
+        floors = {}
+        for i, inst in enumerate(insts):
+            path = put_instance(corpus, inst, f"i{i}.json")
+            bound = lower_bound(inst)
+            floors[f"i{i}.json"] = bound - (0 if inst.space.integral else bound * Fraction(30, 2**53))
+            for argv in (["solve", path, "--p", "1"], ["solve", path, "--p", "2", "--rule", "first"],
+                         ["exact", path]):
+                assert main(argv) == EXIT_OK
+                assert Fraction(stdout_json(capsys)["cost"]) >= floors[f"i{i}.json"], (i, argv)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"corpus": str(corpus), "p_values": [1, 2], "seeds": [0, 1]}))
+        assert main(["experiment", "--spec", str(spec)]) == EXIT_OK
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        assert len(rows) == 4 * len(insts)
+        for row in rows:
+            for key in ("local_cost", "opt_cost"):
+                assert Fraction(json.loads(row[key])) >= floors[row["instance"]], row

@@ -1,9 +1,13 @@
 """Exact oracles: the lower bound, the brute-force optimum and local-optimality verdicts."""
 
+import math
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +16,10 @@ from conftest import grid_instance, line_instance, random_feasible, random_sized
 from oracle import delta_cost, neighborhood
 from rbmedian.errors import CapExceeded
 from rbmedian.exact import _exact_sum, brute_force_opt, is_local_opt, lower_bound
-from rbmedian.instance import Solution, evaluate, gen_euclidean
-from rbmedian.local_search import SwapMove
+from rbmedian.gap_gen import GapParams, build
+from rbmedian.instance import Instance, Solution, evaluate, gen_euclidean
+from rbmedian.local_search import SearchConfig, SwapMove, _client_rows, _scan, _swap_sizes, run
+from rbmedian.metric import MetricSpace, from_graph
 
 
 def naive_opt(inst):
@@ -243,3 +249,172 @@ class TestIsLocalOpt:
         inst = grid_instance(rng, 3, 8, 8, 4, 4)
         with pytest.raises(CapExceeded):
             is_local_opt(inst, random_feasible(rng, inst), 4, cap=10)
+
+
+def island_instance(rng: random.Random, n_islands: int, most: int = 3):
+    """An integer `from_graph` instance of n_islands components, each a
+    random tree plus one chord over its clients, reds and blues. Any
+    component but the first may have no client, and isolated red and
+    blue vertices are facilities with no client nearer than the sentinel.
+    Budgets are drawn over all facilities, so they span the components.
+    A component has up to `most` facilities of each colour."""
+    roles, edges = [], []
+    for i in range(n_islands):
+        members = []
+        for role, low, high in (("client", 0 if i else 1, 4), ("red", 0, most), ("blue", 0, most)):
+            members += [(role, len(roles) + len(members) + j) for j in range(rng.randint(low, high))]
+        members = members or [("red", len(roles))]
+        ids = [v for _, v in members]
+        edges += [(ids[j], rng.choice(ids[:j]), rng.randint(0, 9)) for j in range(1, len(ids))]
+        edges += [(rng.choice(ids), rng.choice(ids), rng.randint(0, 9))]
+        roles += members
+    roles += [("red", len(roles) + j) for j in range(rng.randint(0, 2))]
+    roles += [("blue", len(roles) + j) for j in range(rng.randint(0, 2))]
+    by_role = {role: [v for r, v in roles if r == role] for role in ("client", "red", "blue")}
+    while True:
+        k_r, k_b = rng.randint(0, len(by_role["red"])), rng.randint(0, len(by_role["blue"]))
+        if k_r + k_b:
+            break
+    return Instance(space=from_graph(len(roles), edges), clients=by_role["client"],
+                    red=by_role["red"], blue=by_role["blue"], k_r=k_r, k_b=k_b)
+
+
+def two_distance_instance(rng: random.Random, n_groups: int):
+    """Locations in n_groups groups at distances 1 or 2, which is always a
+    metric: 1 for a random third of the pairs within a group, 2 for every
+    other pair. Islands are the components of the distance-1 graph between
+    facilities and clients, so they may take several steps to grow."""
+    n = rng.randint(6, 14)
+    group = [rng.randrange(n_groups) for _ in range(n)]
+    dist = np.full((n, n), 2, dtype=np.int64)
+    for u in range(n):
+        for v in range(u):
+            if group[u] == group[v] and rng.random() < 0.35:
+                dist[u, v] = dist[v, u] = 1
+    np.fill_diagonal(dist, 0)
+    roles = [rng.choice(("client", "red", "blue")) for _ in range(n)]
+    by_role = {role: [v for v in range(n) if roles[v] == role] for role in ("client", "red", "blue")}
+    k_r, k_b = rng.randint(0, len(by_role["red"])), rng.randint(0, len(by_role["blue"]))
+    if not k_r + k_b:
+        return two_distance_instance(rng, n_groups)
+    return Instance(space=MetricSpace(dist), clients=by_role["client"], red=by_role["red"],
+                    blue=by_role["blue"], k_r=k_r, k_b=k_b)
+
+
+def scan_route(inst, sol, p):
+    """`is_local_opt` with the island route turned off: the scan's verdict."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_island_totals", lambda *args: None)
+        return is_local_opt(inst, sol, p)
+
+
+class TestIslandTables:
+    """The island route against the full scan, kept as the oracle: the
+    least delta over every move, and the verdict with its witness."""
+
+    def check(self, inst, sol, p) -> bool:
+        """Both routes agree; True if `is_local_opt` took the island route.
+        Where the tables apply, whatever their pair count, each swap size's
+        least delta is the scan's over that size alone."""
+        totals = exact._island_totals(inst, _client_rows(inst), sol, p, math.inf, 10**9)
+        if totals is not None:
+            total = evaluate(inst, sol).total
+            for a, b in _swap_sizes(inst, p):
+                least = _scan(inst, _client_rows(inst), sol, total, ((a, b),))[2] - total
+                assert int(totals[a, a, b, b]) - int(totals[0, 0, 0, 0]) == least, (a, b)
+        verdict, scanned = is_local_opt(inst, sol, p), scan_route(inst, sol, p)
+        assert verdict.to_doc() == scanned.to_doc()
+        assert scanned.method == "enumeration"
+        return verdict.method == "island tables"
+
+    def test_seeded_corpus_random_and_locally_optimal(self):
+        rng = random.Random(0x151A)
+        routes = Counter()
+        for case in range(90):
+            inst = (island_instance, two_distance_instance)[case % 2](rng, rng.randint(2, 4))
+            p = rng.randint(1, 3)
+            local = run(inst, SearchConfig(p=p, seed=rng.randrange(100))).solution
+            for sol in (random_feasible(rng, inst), local):
+                routes[self.check(inst, sol, p), sol is local] += 1
+        # the island route certified local optima and handed random solutions to the scan
+        assert routes[True, True] >= 20 and routes[False, False] >= 20, routes
+
+    @given(st.integers(0, 10**6), st.sampled_from([island_instance, two_distance_instance]),
+           st.integers(2, 4), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_corpus(self, seed, make, n_islands, p):
+        rng = random.Random(seed)
+        inst = make(rng, n_islands)
+        self.check(inst, random_feasible(rng, inst), p)
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_small_blocks_agree(self, batch, monkeypatch):
+        # close and open sets in runs of a few, and states folded where a
+        # run's product exceeds the block (the scan keeps its own blocks)
+        monkeypatch.setattr(exact, "_block_moves", lambda n_clients: batch)
+        rng = random.Random(0xB10C + batch)
+        for _ in range(12):
+            inst = island_instance(rng, rng.randint(2, 3), most=6)
+            self.check(inst, random_feasible(rng, inst), rng.randint(1, 3))
+
+    def test_float_tables_take_the_scan(self):
+        inst = island_instance(random.Random(5), 3)
+        edges = [(u, v, d + 0.5) for u in range(inst.space.n) for v in range(u)
+                 if (d := int(inst.space.dist[u, v])) < inst.space.dist.max()]
+        halves = replace(inst, space=from_graph(inst.space.n, edges))
+        sol = random_feasible(random.Random(6), halves)
+        assert exact._island_totals(halves, _client_rows(halves), sol, 2, math.inf, 10**9) is None
+        assert is_local_opt(halves, sol, 2).method == "enumeration"
+
+    def test_clientless_pool_is_one_table(self, monkeypatch):
+        # two islands and 30 isolated facilities: one pool table, not 30 steps
+        base = island_instance(random.Random(11), 2)
+        n = base.space.n
+        spare = list(range(n, n + 30))
+        edges = [(u, v, int(base.space.dist[u, v])) for u in range(n) for v in range(u)
+                 if base.space.dist[u, v] < base.space.dist.max()]
+        inst = replace(base, space=from_graph(n + 30, edges), red=base.red + tuple(spare[::2]),
+                       blue=base.blue + tuple(spare[1::2]), k_r=base.k_r + 2, k_b=base.k_b + 1)
+        calls = []
+        real = exact._min_plus
+        monkeypatch.setattr(exact, "_min_plus", lambda *args: calls.append(1) or real(*args))
+        sol = random_feasible(random.Random(12), inst)
+        assert exact._island_totals(inst, _client_rows(inst), sol, 3, math.inf, 10**9) is not None
+        assert 1 <= len(calls) <= 2  # one step per island, onto the pool's table
+        self.check(inst, sol, 3)
+
+    def test_improving_member_falls_back_to_the_canonical_scan(self, monkeypatch):
+        # the (2, 6) designated solution with right local blue 61 traded for
+        # middle reference blue 49: witness, delta and moves_checked as
+        # recorded before the island route existed
+        gap = build(GapParams(p=2, ell=6))
+        lay = gap.layout
+        blues = (set(gap.local_solution.B) - {lay.right_local_blues[0]}) | {lay.middle_reference_blues[0][0]}
+        sol = Solution(gap.local_solution.R, blues)
+        tables = []
+        real = exact._island_totals
+        monkeypatch.setattr(exact, "_island_totals", lambda *args: tables.append(real(*args)) or tables[-1])
+        verdict = is_local_opt(gap.instance, sol, 2)
+        # the tables ran, and found a better move than the scan's first
+        assert int(tables[0][0, 0, 2, 2]) - int(tables[0][0, 0, 0, 0]) == -4
+        assert verdict.method == "enumeration"
+        assert verdict.to_doc() == {
+            "locally_optimal": False, "moves_checked": 1391,
+            "witness": {"close_red": [], "open_red": [], "close_blue": [62, 63],
+                        "open_blue": [50, 75], "delta": -2}}
+        # between the tables' 766 state pairs and the scan's 161,081 moves,
+        # the cap refuses the scan, as it did before
+        with pytest.raises(CapExceeded, match="^161081 neighborhood moves exceed the cap of 1000;") as e:
+            is_local_opt(gap.instance, sol, 2, cap=1000)
+        assert e.value.method == "enumeration"
+        # the designated solution's tables need 526 state pairs
+        with pytest.raises(CapExceeded, match="^526 island state pairs exceed the cap of 525;") as e:
+            is_local_opt(gap.instance, gap.local_solution, 2, cap=525)
+        assert e.value.method == "island tables"
+        assert is_local_opt(gap.instance, gap.local_solution, 2, cap=526).method == "island tables"
+
+    def test_one_island_takes_the_scan(self):
+        rng = random.Random(9)
+        inst = grid_instance(rng, 8, 4, 4, 2, 2)
+        sol = random_feasible(rng, inst)
+        assert exact._island_totals(inst, _client_rows(inst), sol, 2, math.inf, 10**9) is None

@@ -178,7 +178,7 @@ class TestVerify:
         report = verify(build(GapParams(p=1, ell=20)))
         assert all(v == "pass" for v in report.checks.values()), report.checks
         assert report.methods == {"global_is_optimum": "lower bound",
-                                  "locally_optimal": "enumeration"}
+                                  "locally_optimal": "island tables"}
         assert report.to_doc()["methods"] == report.methods
         assert calls == []
 
@@ -221,16 +221,27 @@ class TestVerify:
 
     def test_tiny_cap_skips_both_searches(self):
         # the reason is the refusal's own message, with the count that tripped it
+        # (49 moves, priced as 20 island state pairs), and the method refused
         report = verify(worse_reference(build(GapParams(p=1, ell=2))), exhaustive_cap=10)
         assert report.checks["global_is_optimum"].startswith(
             "skipped: 120 candidate solutions exceed the cap of 10")
         assert report.checks["locally_optimal"].startswith(
-            "skipped: 49 neighborhood moves exceed the cap of 10")
+            "skipped: 20 island state pairs exceed the cap of 10")
+        assert report.methods == {"global_is_optimum": "brute force",
+                                  "locally_optimal": "island tables"}
         # a met bound needs no enumeration, so no cap can skip it
         report = verify(build(GapParams(p=1, ell=2)), exhaustive_cap=10)
         assert report.checks["global_is_optimum"] == "pass"
-        assert report.checks["locally_optimal"].startswith("skipped: 49 ")
+        assert report.checks["locally_optimal"].startswith("skipped: 20 ")
         assert report.ok  # skipped is not failed, and the report says so
+
+    @pytest.mark.parametrize("p, ell", [(2, 40), (3, 12)])
+    def test_wide_members_are_certified_by_island_tables(self, p, ell):
+        # 209,679,553 and 5,800,962,755 moves: beyond any scan the cap admits
+        report = verify(build(GapParams(p=p, ell=ell)))
+        assert all(v == "pass" for v in report.checks.values()), report.checks
+        assert report.methods == {"global_is_optimum": "lower bound",
+                                  "locally_optimal": "island tables"}
 
     def test_failures_are_reported_with_the_witness(self):
         # the (1, 2) instance claimed as the (1, 3) member, with a designated
