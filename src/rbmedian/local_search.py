@@ -135,12 +135,12 @@ def apply_move(sol: Solution, move: SwapMove) -> Solution:
 
 
 def neighborhood_size(inst: Instance, p: int) -> int:
-    """Closed-form move count; matches enumeration exactly."""
-    def one_colour(k, total):
-        spare = total - k
-        return sum(math.comb(k, a) * math.comb(spare, a) for a in range(min(p, k, spare) + 1))
+    """Closed-form move count, summed over the swap sizes; matches
+    enumeration exactly."""
+    def sides(k, pool, a):  # a of the k open to close, a of the rest to open
+        return math.comb(k, a) * math.comb(len(pool) - k, a)
 
-    return one_colour(inst.k_r, len(inst.red)) * one_colour(inst.k_b, len(inst.blue)) - 1
+    return sum(sides(inst.k_r, inst.red, a) * sides(inst.k_b, inst.blue, b) for a, b in _swap_sizes(inst, p))
 
 
 def _swap_sizes(inst: Instance, p: int) -> tuple:

@@ -129,10 +129,11 @@ def from_matrix(table, facilities=None) -> MetricSpace:
     table is nested rows of ints, floats or decimal strings, the JSON
     form, int64 only if every entry is an int. Every entry is checked for
     its kind; only those with a facility at one end, which the package
-    reads, are decoded (d(x, f) only where its text differs from d(f, x)'s)
-    and checked for finiteness, sign, symmetry, the diagonal and, as
-    `_check_triangle` says, the triangle inequality. Raises MetricError
-    with witnessing indices on the first failure found.
+    reads, are decoded, as the rows d(f, ·) and their mirror d(·, f)
+    (decoded only where its text differs from d(f, x)'s), and checked for
+    finiteness, sign, the diagonal, symmetry and, as `_check_triangle`
+    says, the triangle inequality. Raises MetricError with witnessing
+    indices on the first failure found, row-major within a check.
     """
     dtype = _kind(table)
     n = len(table)
@@ -142,42 +143,40 @@ def from_matrix(table, facilities=None) -> MetricSpace:
     stray = [f for f in facilities if not 0 <= f < n]
     if stray:  # numpy would wrap a negative id to a real row
         raise MetricError(f"facility ids {stray} are outside 0..{n - 1}")
-    is_facility = np.zeros(n, dtype=bool)
-    is_facility[list(facilities)] = True
-    fac = np.flatnonzero(is_facility)
+    fac = np.array(sorted(set(facilities)), dtype=np.intp)
 
-    arr = np.zeros((n, n), dtype=dtype)  # client-to-client entries stay 0, so no check flags one
-    arr[fac] = _decode([table[f] for f in fac.tolist()], dtype).reshape(len(fac), n)
-    arr[:, fac] = arr[fac].T  # d(x, f) is d(f, x) where the two texts agree
-    for f in fac.tolist():
+    rows = _decode([table[f] for f in fac.tolist()], dtype).reshape(len(fac), n)  # d(f, x)
+    cols = rows.copy()  # d(x, f), which is d(f, x) where the two texts agree
+    for a, f in enumerate(fac.tolist()):
         row, col = list(table[f]), [r[f] for r in table]
         if row != col:
             xs = [x for x in range(n) if row[x] != col[x]]
-            arr[xs, f] = _decode([[col[x] for x in xs]], dtype)[0]
+            cols[a, xs] = _decode([[col[x] for x in xs]], dtype)[0]
 
-    for bad, what in (
-        (~np.isfinite(arr), "non-finite distance"),
-        (arr < 0, "negative distance"),
-        (np.eye(n, dtype=bool) & (arr != 0), "nonzero diagonal"),
-    ):
-        hit = np.argwhere(bad)
-        if len(hit):
-            i, j = map(int, hit[0])
-            raise MetricError(f"{what} {arr[i, j]} at ({i}, {j})", witness=(i, j))
-    asym = np.argwhere(arr != arr.T)
-    if len(asym):
-        i, j = map(int, asym[0])
-        raise MetricError(f"asymmetry at ({i}, {j}): {arr[i, j]} != {arr[j, i]}", witness=(i, j))
-    if arr.dtype == np.int64 and arr.max(initial=0) >= INT_LIMIT:
+    asym, diag = rows != cols, (fac[:, None] == np.arange(n)) & (rows != 0)
+    for bad_rows, bad_cols, message in (
+        (~np.isfinite(rows), ~np.isfinite(cols), "non-finite distance {2} at ({0}, {1})"),
+        (rows < 0, cols < 0, "negative distance {2} at ({0}, {1})"),
+        (diag, diag, "nonzero diagonal {2} at ({0}, {1})"),
+        (asym, asym, "asymmetry at ({0}, {1}): {2} != {3}"),
+    ):  # bad_rows flags (fac[a], x), bad_cols (x, fac[a]); the first (i, j) row-major fails
+        hits = [(int(fac[a]), int(x), rows[a, x], cols[a, x]) for a, x in np.argwhere(bad_rows)[:1]]
+        hits += [(int(x), int(fac[a]), cols[a, x], rows[a, x]) for x, a in np.argwhere(bad_cols.T)[:1]]
+        if hits:
+            hit = min(hits, key=lambda h: h[:2])  # (i, j, d(i, j), d(j, i))
+            raise MetricError(message.format(*hit), witness=hit[:2])
+    if rows.dtype == np.int64 and rows.max(initial=0) >= INT_LIMIT:
         raise MetricError(
-            f"integer distance {arr.max()} is not below 2^62: two could overflow int64")
+            f"integer distance {rows.max()} is not below 2^62: two could overflow int64")
 
-    _check_triangle(arr, is_facility)
-    return MetricSpace(arr[fac], fac)
+    _check_triangle(rows, fac)
+    return MetricSpace(rows, fac)
 
 
-def _check_triangle(arr: np.ndarray, is_facility: np.ndarray) -> None:
-    """Check the entries with a facility at one end in two O(F^2 n) passes:
+def _check_triangle(rows: np.ndarray, fac: np.ndarray) -> None:
+    """Check the entries with a facility at one end, given as the rows
+    d(f, ·) of the ascending ids fac, symmetric where they meet, in two
+    O(F^2 n) passes:
     (1) d(f, g) <= d(f, x) + d(x, g) for facilities f, g, any location x;
     (2) d(f, c) <= d(f, g) + d(g, c) for a client c, any facility g; a
     bound M has slack tau * max(1, M), tau 0 for int64, FLOAT_TOL for
@@ -188,22 +187,21 @@ def _check_triangle(arr: np.ndarray, is_facility: np.ndarray) -> None:
     over its inner facilities, and (2) one ending at a client, whose last
     hop leaves a facility. With every location a facility, (2) is empty
     and (1) is the full check."""
-    tau = 0.0 if arr.dtype == np.int64 else FLOAT_TOL
-    fac, cli = np.flatnonzero(is_facility), np.flatnonzero(~is_facility)
-    to_fac = arr[:, fac]  # d(x, f), a row per location
-    ff, fc = to_fac[fac], arr[np.ix_(fac, cli)]
-    for entries, col_ids, k_ids, a, b in ((ff, fac, np.arange(len(arr)), to_fac, to_fac),
-                                          (fc, cli, fac, ff, fc)):
+    tau = 0.0 if rows.dtype == np.int64 else FLOAT_TOL
+    every = np.arange(rows.shape[1])
+    cli = np.delete(every, fac)
+    ff, fc = rows[:, fac], rows[:, cli]
+    for entries, col_ids, k_ids, a, b in ((ff, fac, every, rows.T, rows.T), (fc, cli, fac, ff, fc)):
         via = entries.copy()  # the k = f term equals the entry, so via is the 2-hop minimum
         _relax(a, b, via)
         allowed = via + tau * np.maximum(1.0, via) if tau else via
         bad = np.argwhere(entries > allowed)
         if len(bad):
             r, c = map(int, bad[0])
-            i, j, k = int(fac[r]), int(col_ids[c]), int(k_ids[np.argmin(a[:, r] + b[:, c])])
+            at = int(np.argmin(a[:, r] + b[:, c]))
+            i, j, k = int(fac[r]), int(col_ids[c]), int(k_ids[at])
             raise MetricError(
-                f"triangle violation at ({i}, {j}): {arr[i, j]} > "
-                f"{arr[i, k]} + {arr[k, j]} via {k}",
+                f"triangle violation at ({i}, {j}): {entries[r, c]} > {a[at, r]} + {b[at, c]} via {k}",
                 witness=(i, k, j),
             )
 

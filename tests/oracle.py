@@ -14,6 +14,9 @@ decoder and the k-major triangle check that `metric` used before it
 decoded a table in one step and checked it against the min-plus square.
 `reference_facility_check` decides the facility-rows check from its
 definition, shortest paths over the entries with a facility at one end.
+`reference_from_matrix` is `from_matrix` as it was when it checked a
+table as an n x n array, client-to-client entries held as zeros: the
+slow oracle for its messages, witnesses and rows.
 `reference_make_groups` and `reference_make_blocks` are the grouping
 and block assembly that `decomposition` used before one filler rule
 replaced the class-driven fallback cascade.
@@ -31,6 +34,7 @@ from rbmedian.decomposition import BLUE, RED, FacilityClass, GroupKind
 from rbmedian.errors import InternalInvariantError
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
 from rbmedian.local_search import SwapMove, _client_rows, _plan, _scan, _swap_sizes
+from rbmedian.metric import FLOAT_TOL, INT_LIMIT, MetricError, MetricSpace, _decode, _kind, _relax
 
 _INF = float("inf")
 
@@ -240,6 +244,74 @@ def reference_facility_check(arr: np.ndarray, facilities, tau: float) -> bool:
         path = np.minimum(path, path[:, k, None] + path[None, k, :])
     allowed = path + tau * np.maximum(1.0, path) if tau else path
     return not (readable & (arr > allowed)).any()
+
+
+def reference_from_matrix(table, facilities=None) -> MetricSpace:
+    """`from_matrix` over an n x n array: the facility rows and their
+    mirror entries decoded into it, every other entry 0, each check run
+    over the whole array, then the facility rows sliced out."""
+    dtype = _kind(table)
+    n = len(table)
+    if any(len(row) != n for row in table):
+        raise MetricError(f"distance table must be square, got {n} rows of sizes {sorted({*map(len, table)})}")
+    facilities = range(n) if facilities is None else facilities
+    stray = [f for f in facilities if not 0 <= f < n]
+    if stray:
+        raise MetricError(f"facility ids {stray} are outside 0..{n - 1}")
+    is_facility = np.zeros(n, dtype=bool)
+    is_facility[list(facilities)] = True
+    fac = np.flatnonzero(is_facility)
+
+    arr = np.zeros((n, n), dtype=dtype)
+    arr[fac] = _decode([table[f] for f in fac.tolist()], dtype).reshape(len(fac), n)
+    arr[:, fac] = arr[fac].T
+    for f in fac.tolist():
+        row, col = list(table[f]), [r[f] for r in table]
+        if row != col:
+            xs = [x for x in range(n) if row[x] != col[x]]
+            arr[xs, f] = _decode([[col[x] for x in xs]], dtype)[0]
+
+    for bad, what in (
+        (~np.isfinite(arr), "non-finite distance"),
+        (arr < 0, "negative distance"),
+        (np.eye(n, dtype=bool) & (arr != 0), "nonzero diagonal"),
+    ):
+        hit = np.argwhere(bad)
+        if len(hit):
+            i, j = map(int, hit[0])
+            raise MetricError(f"{what} {arr[i, j]} at ({i}, {j})", witness=(i, j))
+    asym = np.argwhere(arr != arr.T)
+    if len(asym):
+        i, j = map(int, asym[0])
+        raise MetricError(f"asymmetry at ({i}, {j}): {arr[i, j]} != {arr[j, i]}", witness=(i, j))
+    if arr.dtype == np.int64 and arr.max(initial=0) >= INT_LIMIT:
+        raise MetricError(
+            f"integer distance {arr.max()} is not below 2^62: two could overflow int64")
+
+    _reference_check_triangle(arr, is_facility)
+    return MetricSpace(arr[fac], fac)
+
+
+def _reference_check_triangle(arr: np.ndarray, is_facility: np.ndarray) -> None:
+    """The two 2-hop passes of `_check_triangle`, read from the n x n array."""
+    tau = 0.0 if arr.dtype == np.int64 else FLOAT_TOL
+    fac, cli = np.flatnonzero(is_facility), np.flatnonzero(~is_facility)
+    to_fac = arr[:, fac]
+    ff, fc = to_fac[fac], arr[np.ix_(fac, cli)]
+    for entries, col_ids, k_ids, a, b in ((ff, fac, np.arange(len(arr)), to_fac, to_fac),
+                                          (fc, cli, fac, ff, fc)):
+        via = entries.copy()
+        _relax(a, b, via)
+        allowed = via + tau * np.maximum(1.0, via) if tau else via
+        bad = np.argwhere(entries > allowed)
+        if len(bad):
+            r, c = map(int, bad[0])
+            i, j, k = int(fac[r]), int(col_ids[c]), int(k_ids[np.argmin(a[:, r] + b[:, c])])
+            raise MetricError(
+                f"triangle violation at ({i}, {j}): {arr[i, j]} > "
+                f"{arr[i, k]} + {arr[k, j]} via {k}",
+                witness=(i, k, j),
+            )
 
 
 @dataclass(eq=False)

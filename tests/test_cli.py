@@ -25,8 +25,8 @@ from rbmedian.cli import (
 )
 from rbmedian.exact import brute_force_opt, is_local_opt, lower_bound
 from rbmedian.instance import Instance, Solution, gen_euclidean, serialize, serialize_solution
-from rbmedian.local_search import SearchConfig, _plan, run
-from rbmedian.metric import MetricSpace
+from rbmedian.local_search import ConfigError, SearchConfig, _plan, run
+from rbmedian.metric import MetricError, MetricSpace, from_graph, from_matrix
 
 
 def put_instance(tmp_path, inst, name="instance.json"):
@@ -135,6 +135,39 @@ class TestSolve:
         assert {side: sorted(new[i] for i in ids) for side, ids in docs[0]["solution"].items()} \
             == docs[1]["solution"]
 
+
+    @pytest.mark.parametrize("rule", ["best", "first"])
+    def test_tripled_table_triples_the_trace(self, tmp_path, capsys, rule):
+        # at epsilon 0 a move is taken iff its total falls, which scaling keeps
+        base = solve_grid_200(tmp_path, capsys, rule, lambda rows: rows)
+        tripled = solve_grid_200(tmp_path, capsys, rule, lambda rows: [[3 * v for v in row] for row in rows])
+        assert base["iterations"] > 0 and base["termination"] == "local-optimum"
+        assert [tripled[key] for key in SEARCH_KEYS] == [base[key] for key in SEARCH_KEYS]
+        assert tripled["trace"] == [3 * cost for cost in base["trace"]]
+        assert all(type(cost) is int for cost in base["trace"] + tripled["trace"])
+
+    @pytest.mark.parametrize("rule", ["best", "first"])
+    def test_float_strings_take_the_integer_path(self, tmp_path, capsys, rule):
+        # the float sums of a small-integer table are exact
+        base = solve_grid_200(tmp_path, capsys, rule, lambda rows: rows)
+        as_text = solve_grid_200(tmp_path, capsys, rule, lambda rows: [[f"{v}.0" for v in row] for row in rows])
+        assert [as_text[key] for key in SEARCH_KEYS] == [base[key] for key in SEARCH_KEYS]
+        assert as_text["trace"] == base["trace"]
+        assert all(type(cost) is float for cost in as_text["trace"])
+
+
+SEARCH_KEYS = ("solution", "iterations", "termination")
+
+
+def solve_grid_200(tmp_path, capsys, rule, write):
+    """solve --p 2's document, by `rule`, for a seeded grid of 200 clients,
+    10 red and 10 blue, k 3/3, whose integer table is written as write(rows)."""
+    doc = json.loads(serialize(grid_instance(random.Random(200), 200, 10, 10, 3, 3, span=1000)))
+    doc["metric"]["matrix"] = write(doc["metric"]["matrix"])
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--p", "2", "--epsilon", "0", "--seed", "2", "--rule", rule]) == EXIT_OK
+    return stdout_json(capsys)
 
 class TestParserReuse:
     def test_parser_is_built_once(self):
@@ -731,6 +764,60 @@ class TestExperiment:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+
+    def test_refused_optimum_leaves_opt_and_ratio_blank(self, tmp_path, capsys):
+        body = {"generate": {"count": 1, "seed": 100, "n_clients": 14, "n_red": 7, "n_blue": 7,
+                             "k_r": 2, "k_b": 2, "box_size": 10.0},
+                "p_values": [1, 2], "seeds": [0, 1]}
+        rows = {}
+        for cap_body in ({}, {"opt_cap": 10}):
+            assert main(["experiment", "--spec", self.make_spec(tmp_path, {**body, **cap_body})]) == EXIT_OK
+            rows[bool(cap_body)] = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        assert len(rows[True]) == 4 and not any(r["error"] for r in rows[False])
+        for r in rows[True]:
+            assert (r["opt_cost"], r["ratio"]) == ("", "")
+            assert r["error"] == ("opt skipped: 441 candidate solutions exceed the cap of 10; "
+                                  "raise the cap explicitly to force the scan")
+        assert [r["local_cost"] for r in rows[True]] == [r["local_cost"] for r in rows[False]]
+
+
+LINE_DOC = {"n": 3, "metric": {"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+            "clients": [0], "red": [1], "blue": [2], "k_r": 1, "k_b": 1}
+
+
+# Input errors at raise sites that no other test reaches: a document (an
+# instance for solve, a spec for experiment) with its exact stderr line, or
+# a library call with the error it raises.
+INPUT_ERRORS = {
+    "not-an-object": ("solve", [LINE_DOC], "instance document must be a JSON object"),
+    "metric-number": ("solve", {**LINE_DOC, "metric": 5}, "'metric' must be an object"),
+    "graph-without-edges": ("solve", {**LINE_DOC, "metric": {"graph": {"edges": 5}}},
+                            "'graph' must be an object with an 'edges' list"),
+    "float-endpoint": ("solve", {**LINE_DOC, "metric": {"graph": {"edges": [[0, 1.5, 1]]}}},
+                       "graph edge endpoints must be integers in [0, 1.5, 1]"),
+    "no-table": ("solve", {**LINE_DOC, "metric": {"rows": []}},
+                 "'metric' must contain either 'matrix' or 'graph'"),
+    "k_b-range": ("solve", {**LINE_DOC, "k_b": 2}, "budget k_b=2 out of range for 1 blue facilities"),
+    "p_values-number": ("experiment", {"generate": TestExperiment.GENERATE, "p_values": 1},
+                        "'p_values' and 'seeds' must be lists"),
+    "max_iters": (lambda: SearchConfig(max_iters=-1), ConfigError, "max_iters must be nonnegative, got -1"),
+    "row-not-held": (lambda: from_matrix(LINE_DOC["metric"]["matrix"], [1]).rows([0, 1]), MetricError,
+                     r"no distance row held for locations \[0\]"),
+    "vertex-count": (lambda: from_graph(-1, []), MetricError, "vertex count must be nonnegative, got -1"),
+    "edge-pair": (lambda: from_graph(2, [(0, 1)]), MetricError, r"edge must be \(u, v, length\), got \(0, 1\)"),
+}
+
+
+@pytest.mark.parametrize("case, arg, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+def test_input_errors(tmp_path, capsys, case, arg, message):
+    if callable(case):
+        with pytest.raises(arg, match=message):
+            case()
+        return
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(arg))
+    assert main([case, str(path)] if case == "solve" else [case, "--spec", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 class TestUnwritableOut:
     """An --out the program cannot write is an input error: exit 2, with

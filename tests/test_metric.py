@@ -2,14 +2,15 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import grid_instance
-from oracle import (reference_decode, reference_facility_check, reference_triangle,
-                    violating_pairs)
+from oracle import (reference_decode, reference_facility_check, reference_from_matrix,
+                    reference_triangle, violating_pairs)
 from rbmedian.exact import brute_force_opt, is_local_opt
 from rbmedian.instance import FormatError, Instance, Solution, gen_euclidean, parse, serialize
 from rbmedian.local_search import SearchConfig, run
@@ -495,6 +496,127 @@ class TestFacilityRows:
                 outcomes.append((str(e), e.witness))
         assert outcomes[0] == outcomes[1]
         assert (outcomes[0] is None) == (reference_triangle(dist, slack(dist)) is None)
+
+
+def outcome(build, table, facilities):
+    """What `build` makes of a table: the error's type, message and
+    witness, or the held rows' type, shape and bytes with their ids."""
+    try:
+        space = build(table, facilities)
+    except (MetricError, FormatError) as e:
+        return type(e).__name__, str(e), getattr(e, "witness", None)
+    return str(space.dist.dtype), space.dist.shape, space.dist.tobytes(), space.ids.tolist()
+
+
+def entry_value(x):
+    return float(x) if type(x) is str else x
+
+
+def plant(rng, table, facilities, fault):
+    """Spoil `table` in place with one fault of the named kind, set on one
+    side or both of a random spot with a facility at one end, or between
+    two clients for "client-client", which no check reads."""
+    n, fac = len(table), set(facilities)
+    cli = [x for x in range(n) if x not in fac]
+    f = rng.choice(sorted(fac))
+    i, j = rng.choice([(f, rng.randrange(n)), (rng.randrange(n), f)])
+    both = rng.random() < 0.5
+    if fault == "client-client":
+        if len(cli) < 2:
+            return
+        i, j = rng.sample(cli, 2)
+        fault = rng.choice(["non-finite", "negative", "asymmetric", "2^62", "triangle"])
+    if fault == "diagonal":
+        table[f][f] = rng.choice([1, 3, "0.5", 2.0])
+        return
+    value = {
+        "non-finite": lambda: rng.choice(["inf", "-inf", "nan", "1e400", float("inf"), float("nan")]),
+        "negative": lambda: rng.choice([-1, -3, "-0.5", -2.0]),
+        "asymmetric": lambda: entry_value(table[i][j]) + rng.choice([1, 0.5]),
+        "2^62": lambda: 2**62,
+        "triangle": lambda: max(entry_value(x) for row in table for x in row) * 2 + 1,
+    }[fault]()
+    table[i][j] = value
+    if both and fault != "asymmetric":
+        table[j][i] = value
+
+
+FAULTS = ["non-finite", "negative", "diagonal", "asymmetric", "2^62", "triangle", "client-client"]
+
+
+def faulty_table(rng, floats):
+    """(table, facilities): Manhattan distances between 4-14 grid points,
+    halved and each written in a random JSON float form for floats, with a
+    random facility set (None for every location now and then) and 0-3
+    planted faults, often of one kind, so that row-major order picks the
+    witness among them."""
+    n = rng.randint(4, 14)
+    pts = [(rng.randrange(20), rng.randrange(20)) for _ in range(n)]
+    table = [[abs(ax - bx) + abs(ay - by) for bx, by in pts] for ax, ay in pts]
+    if floats:
+        table = value_forms(rng, [[v / 2 for v in row] for row in table])
+    facilities = sorted(rng.sample(range(n), rng.randint(1, n)))
+    kinds = rng.choices(FAULTS, k=rng.randint(0, 3))
+    if kinds and rng.random() < 0.5:
+        kinds = [kinds[0]] * len(kinds)
+    for fault in kinds:
+        plant(rng, table, facilities, fault)
+    return table, None if rng.random() < 0.1 else facilities
+
+
+class TestAgainstTheSquareTable:
+    """from_matrix checks the facility rows and their mirror entries as two
+    F x n arrays; the n x n checker it replaced is the oracle for every
+    message, witness and accepted row."""
+
+    @pytest.mark.parametrize("floats", [False, True])
+    def test_seeded_faults_match_the_square_check(self, floats):
+        rng = random.Random(0x5A0 + floats)
+        seen = {}
+        for _ in range(600):
+            table, facilities = faulty_table(rng, floats)
+            got = outcome(from_matrix, table, facilities)
+            assert got == outcome(reference_from_matrix, table, facilities)
+            kind = "accepted" if len(got) == 4 else got[1].split()[0]
+            seen[kind] = seen.get(kind, 0) + 1
+            if kind != "accepted" and got[2] and facilities and got[2][0] not in facilities:
+                seen["mirror witness"] = seen.get("mirror witness", 0) + 1
+        want = ["accepted", "non-finite", "negative", "nonzero", "asymmetry", "triangle",
+                "mirror witness"] + ([] if floats else ["integer"])
+        assert all(seen.get(kind, 0) >= 10 for kind in want), seen
+
+    @given(st.integers(4, 10), st.integers(0, 2**32 - 1), st.booleans(),
+           st.lists(st.booleans(), min_size=10, max_size=10),
+           st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans(), st.sampled_from(
+               [-1, 0, 1, 3, 40, 2**62, "inf", "nan", "-0.5", "2.5", "3.0", 2.0])), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_faults_match_the_square_check(self, n, seed, floats, is_facility, faults):
+        rng = random.Random(seed)
+        pts = [(rng.randrange(20), rng.randrange(20)) for _ in range(n)]
+        table = [[abs(ax - bx) + abs(ay - by) for bx, by in pts] for ax, ay in pts]
+        if floats:
+            table = value_forms(rng, [[v / 2 for v in row] for row in table])
+        for i, j, both, value in faults:
+            table[i % n][j % n] = value
+            if both:
+                table[j % n][i % n] = value
+        facilities = [x for x in range(n) if is_facility[x]]
+        assert outcome(from_matrix, table, facilities) == outcome(reference_from_matrix, table, facilities)
+
+    def test_no_square_table_when_few_locations_are_facilities(self):
+        n, n_fac = 400, 30
+        pts = np.random.default_rng(400).integers(0, 1000, size=(n, 2))
+        table = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1).tolist()
+        facilities = list(range(n - n_fac, n))
+        peaks = []
+        for build in (from_matrix, reference_from_matrix):
+            tracemalloc.start()
+            try:
+                build(table, facilities)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < n * n * 8 <= peaks[1], peaks
 
 
 class TestInt64Bounds:
