@@ -12,18 +12,19 @@ total for it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, islice
-from math import comb, prod
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, combinations, islice
+from math import comb, inf, prod
 
 import numpy as np
 
 from .errors import CapExceeded
 from .instance import Instance, Solution, evaluate
-from .local_search import (ConfigError, SwapMove, _block_moves, _blocks, _client_rows, _scan,
-                           _states, _subset_minima, _swap_sizes, neighborhood_size)
+from .local_search import (_BLOCK_ENTRIES, ConfigError, SwapMove, _block_moves, _blocks, _client_rows, _positions,
+                           _scan, _size_moves, _states, _subset_minima, _swap_sizes)
 
 DEFAULT_CAP = 10**8
 
@@ -118,10 +119,9 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
 
 
 def _colour_sides(rows, fill, open_at, spare_at, p: int, per: int):
-    """Yield one colour's states on one island, per count (a, b) of its
-    open rows `open_at` closed and spare rows `spare_at` opened, each at
-    most p, in runs of at most `per` close sets and open sets: ((a, b),
-    the (kept, added, states) tables `_blocks` takes)."""
+    """Yield one colour's island states per count (a, b), at most p, of
+    open rows `open_at` closed and spare rows `spare_at` opened, in runs of
+    at most `per` sets: ((a, b), the (kept, added, states) `_blocks` takes)."""
     for a in range(min(p, len(open_at)) + 1):
         closes = combinations(open_at, len(open_at) - a)  # what each close set keeps
         while kept := list(islice(closes, per)):
@@ -133,40 +133,68 @@ def _colour_sides(rows, fill, open_at, spare_at, p: int, per: int):
                     yield (a, b), (kept, added, _states(kept, added) if len(kept) * len(added) <= per else None)
 
 
+def _reach(n: int, p: int) -> int:  # subsets of at most p of n facilities
+    return sum(comb(n, a) for a in range(min(p, n) + 1))
+
+
+@lru_cache(maxsize=32)
+def _island_states(n_open: int, n_spare: int, first: int, pad: int, p: int) -> tuple:
+    """A colour's island states, open rows from `first`, then spare ones:
+    (the rows each leaves open, padded with `pad`; each count's first
+    state; the counts (a, b) closed and opened, 2 rows in C order)."""
+    counts = [(a, b) for a in range(min(p, n_open) + 1) for b in range(min(p, n_spare) + 1)]
+    runs = [[kept + added for kept in combinations(range(first, first + n_open), n_open - a)
+             for added in combinations(range(first + n_open, first + n_open + n_spare), b)] for a, b in counts]
+    width = max(len(run[0]) for run in runs)
+    padded = [state + (pad,) * (width - len(state)) for run in runs for state in run]
+    return _positions(padded), _positions(list(accumulate(map(len, runs), initial=0))[:-1]), _positions(counts).T
+
+
 def _island_table(rows, fill, kinds, p: int) -> np.ndarray:
     """Least new total of one island per count tuple (close red, open red,
     close blue, open blue), _NONE where no state has those counts. `rows`
-    are its facility rows over its clients and `kinds` its open red, spare
-    red, open blue and spare blue rows. Working arrays stay within a block,
-    so the red states are built again for each run of blue ones."""
-    per = _block_moves(rows.shape[1])
-    table = np.full((p + 1,) * 4, _NONE)
-    for b_counts, blue in _colour_sides(rows, fill, *kinds[2:], p, per):
-        for r_counts, red in _colour_sides(rows, fill, *kinds[:2], p, per):
-            least = min(int(new.sum(axis=-1).min()) for *_, new in _blocks(red, blue, per))
-            at = r_counts + b_counts
-            table[at] = min(int(table[at]), least)
+    are its facility rows over its clients, in `kinds` runs: open red,
+    spare red, open blue, spare blue. Red states x blue states that fit a
+    block are one product of whole state tables, grouped by count; more
+    are streamed, the red states built again for each run of blue ones."""
+    per, table = _block_moves(rows.shape[1]), np.full((p + 1,) * 4, _NONE)
+    if prod(_reach(n, p) for n in kinds) > per:
+        open_r, spare_r, open_b, spare_b = np.split(np.arange(len(rows)), np.cumsum(kinds[:3]))
+        for b_counts, blue in _colour_sides(rows, fill, open_b, spare_b, p, per):
+            for r_counts, red in _colour_sides(rows, fill, open_r, spare_r, p, per):
+                least = min(int(new.sum(axis=-1).min()) for *_, new in _blocks(red, blue, per))
+                table[r_counts + b_counts] = min(int(table[r_counts + b_counts]), least)
+        return table
+    padded = np.vstack((rows, np.full(rows.shape[1], fill)))
+    (red, r_starts, r_counts), (blue, b_starts, b_counts) = (
+        (_subset_minima(padded, states, fill), starts, counts) for states, starts, counts in
+        (_island_states(*kinds[:2], 0, len(rows), p), _island_states(*kinds[2:], sum(kinds[:2]), len(rows), p)))
+    totals = np.minimum(red[:, None], blue[None]).sum(axis=-1)
+    table[(*r_counts[..., None], *b_counts[:, None])] = np.minimum.reduceat(
+        np.minimum.reduceat(totals, r_starts, axis=0), b_starts, axis=1)
     return table
 
 
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The table of least a[s] + b[t] over count tuples s + t, one slice
-    sum per count tuple of the sparser table."""
-    if np.count_nonzero(a < _NONE) > np.count_nonzero(b < _NONE):
-        a, b = b, a
-    out = np.full_like(a, _NONE)
-    for s in zip(*np.nonzero(a < _NONE)):
-        head = tuple(slice(i, None) for i in s)
-        np.minimum(out[head], a[s] + b[tuple(slice(len(a) - i) for i in s)], out=out[head])
-    return np.minimum(out, _NONE)
+    """The table of least a[s] + b[t] over count tuples s + t, coded in
+    base 2 len(a) - 1, where codes add as tuples do; pairs of entries
+    below _NONE go a block's worth at a time."""
+    shape, wide = a.shape, (2 * len(a) - 1,) * a.ndim
+    code = np.ravel_multi_index(np.indices(shape).reshape(a.ndim, -1), wide)
+    (at_a, a), (at_b, b) = ((np.flatnonzero(t < _NONE), t.ravel()) for t in (a, b))
+    out = np.full(prod(wide), _NONE)
+    step = max(1, _BLOCK_ENTRIES // max(len(at_b), 1))
+    for s in (at_a[lo : lo + step, None] for lo in range(0, len(at_a), step)):
+        np.minimum.at(out, (code[s] + code[at_b]).ravel(), (a[s] + b[at_b]).ravel())
+    return out.reshape(wide)[tuple(map(slice, shape))]
 
 
-def _island_totals(inst: Instance, client_rows, sol: Solution, p: int, size: int, cap: int):
+def _island_totals(inst: Instance, client_rows, sol: Solution, p: int, blocks, cap: int):
     """Least new totals over the islands' clients per count tuple (close
     red, open red, close blue, open blue), summed from per-island tables;
-    None for a float table, one of fewer than two islands, or one with no
-    fewer state pairs than the `size` moves. The all-zero tuple is `sol`;
-    `client_rows` is `_client_rows(inst)`.
+    None for a float table, one of fewer than two islands, or one whose
+    islands price no fewer blocks than `blocks`. The all-zero tuple is
+    `sol`; `client_rows` is `_client_rows(inst)`.
 
     With M the greatest facility-to-client distance, islands are the
     components of d(f, c) < M. A client is at M from every facility off its
@@ -181,48 +209,55 @@ def _island_totals(inst: Instance, client_rows, sol: Solution, p: int, size: int
     rows, _, row_of = client_rows
     fill = rows.max(initial=0)
     near = rows < fill
-    red, opened = np.arange(len(rows)) < len(inst.red), np.zeros(len(rows), dtype=bool)
-    opened[row_of[list(sol.facilities())]] = True
-    kinds = (red & opened, red & ~opened, ~red & opened, ~red & ~opened)
-    islands, left = [], near.any(axis=1)
-    pool = [int(np.count_nonzero(k & ~left)) for k in kinds]
-    while left.any():
-        fac, seen = np.arange(len(rows)) == left.argmax(), 0
-        while fac.sum() > seen:
-            seen, clients = fac.sum(), near[fac].any(axis=0)
-            fac = near[:, clients].any(axis=1)
-        islands.append(([np.flatnonzero(k[fac]) for k in kinds], np.ix_(fac, clients)))
-        left &= ~fac
-    reach = [sum(comb(n, a) for a in range(min(p, n) + 1)) for n in range(len(rows) + 1)]
-    pairs = sum(prod(reach[len(at)] for at in kind_at) for kind_at, _ in islands)
-    if len(islands) + any(pool) < 2 or pairs >= size:
+    kind = 2 * (np.arange(len(rows)) >= len(inst.red)) + 1  # spare red 1, spare blue 3
+    kind[row_of[list(sol.facilities())]] -= 1  # open red 0, open blue 2
+    pool, island, grown = len(rows), len(rows), np.arange(len(rows))  # islands named by least facility
+    while np.any(island != grown):  # to a fixed point; `pool` marks a facility or client off every island
+        island, at = grown, np.where(near, grown[:, None], pool).min(axis=0, initial=pool)
+        grown = np.where(near, at, pool).min(axis=1, initial=pool)
+    kinds = np.bincount(4 * island + kind, minlength=4 * pool + 4).reshape(-1, 4)  # per island and kind
+    n_clients = np.bincount(at, minlength=pool + 1)[:pool]
+    labels = np.flatnonzero(n_clients)
+    fac, clients = np.lexsort((kind, island)), np.argsort(at, kind="stable")  # by island, then kind
+    islands = [(rows[np.ix_(f, c)], k) for f, c, k in zip(np.split(fac, np.cumsum(kinds[labels].sum(axis=1))),
+               np.split(clients, np.cumsum(n_clients[labels])), kinds[labels].tolist())]
+    pairs = [prod(_reach(count, p) for count in k) for _, k in islands]
+    priced = sum(-(-n // _block_moves(own.shape[1])) for n, (own, _) in zip(pairs, islands))
+    if len(islands) + any(kinds[pool]) < 2 or priced >= blocks:
         return None
-    _refuse_over_cap(pairs, "island state pairs", cap, "island tables")
+    _refuse_over_cap(sum(pairs), "island state pairs", cap, "island tables")
     free = np.full((p + 1,) * 4, _NONE)
-    free[tuple(slice(min(p, n) + 1) for n in pool)] = 0
-    return reduce(_min_plus, (_island_table(rows[own], fill, kind_at, p) for kind_at, own in islands), free)
+    free[tuple(slice(min(p, n) + 1) for n in kinds[pool])] = 0
+    return reduce(_min_plus, (_island_table(own, fill, k, p) for own, k in islands), free)
 
 
 def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) -> LocalOptVerdict:
     """Exactly certify local optimality under swaps of size at most p.
 
-    Where `_island_totals` applies and no swap size lowers its total, that
-    is the verdict, by "island tables". Otherwise the scan of the canonical
-    move order decides, by "enumeration", and returns on the first strictly
-    improving move; zero-delta moves do not disqualify. Each route refuses
-    what it counts beyond the cap. For p >= max(k_r, k_b) the neighborhood
-    reaches every feasible solution, so the verdict coincides with global
-    optimality.
+    The scan of the canonical move order returns the first strictly
+    improving move (zero-delta moves do not disqualify). Its first block,
+    at most `cap` moves, is the probe: a witness there, or a neighborhood
+    within it, decides "by enumeration". Else, if `_island_totals` prices
+    fewer blocks than the scan (each swap size's moves in blocks) or the
+    scan exceeds the cap, and no swap size lowers its total, the verdict
+    is "island tables"; else the whole scan decides. Routes refuse work
+    beyond the cap. For p >= max(k_r, k_b) this is global optimality.
     """
     total = evaluate(inst, sol).total
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
-    size, sizes, rows = neighborhood_size(inst, p), _swap_sizes(inst, p), _client_rows(inst)
-    totals = _island_totals(inst, rows, sol, p, size, cap)
-    if totals is not None and min(int(totals[a, a, b, b]) for a, b in sizes) >= int(totals[0, 0, 0, 0]):
-        return LocalOptVerdict(True, None, None, size, "island tables")
-    _refuse_over_cap(size, "neighborhood moves", cap, "enumeration")
-    found = _scan(inst, rows, sol, total, sizes, lambda delta: delta < 0)
+    sizes, rows, per = _swap_sizes(inst, p), _client_rows(inst), _block_moves(len(inst.clients))
+    moves = _size_moves(inst, sizes)
+    counts = list(accumulate(moves, initial=0))  # moves before each swap size, then all of them
+    size, probe, improves = counts[-1], min(cap, per), partial(np.greater, 0)  # improving: 0 > delta
+    found = _scan(inst, rows, sol, total, sizes[: bisect_left(counts, probe)], improves, probe)  # the probe
+    if found is None and size > probe:
+        blocks = sum(-(-n // per) for n in moves) if size <= cap else inf
+        totals = _island_totals(inst, rows, sol, p, blocks, cap)
+        if totals is not None and min(int(totals[a, a, b, b]) for a, b in sizes) >= int(totals[0, 0, 0, 0]):
+            return LocalOptVerdict(True, None, None, size, "island tables")
+        _refuse_over_cap(size, "neighborhood moves", cap, "enumeration")
+        found = _scan(inst, rows, sol, total, sizes, improves)
     if found is None:
         return LocalOptVerdict(True, None, None, size)
     index, move, new_total = found

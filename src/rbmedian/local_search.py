@@ -137,10 +137,14 @@ def apply_move(sol: Solution, move: SwapMove) -> Solution:
 def neighborhood_size(inst: Instance, p: int) -> int:
     """Closed-form move count, summed over the swap sizes; matches
     enumeration exactly."""
-    def sides(k, pool, a):  # a of the k open to close, a of the rest to open
-        return math.comb(k, a) * math.comb(len(pool) - k, a)
+    return sum(_size_moves(inst, _swap_sizes(inst, p)))
 
-    return sum(sides(inst.k_r, inst.red, a) * sides(inst.k_b, inst.blue, b) for a, b in _swap_sizes(inst, p))
+
+def _size_moves(inst: Instance, sizes) -> list:
+    """Closed-form move count of each swap size in `sizes`: per colour, a
+    of the k open to close and a of the rest to open."""
+    return [math.prod(math.comb(k, a) * math.comb(len(pool) - k, a) for (k, pool), a in
+                      zip(((inst.k_r, inst.red), (inst.k_b, inst.blue)), size)) for size in sizes]
 
 
 def _swap_sizes(inst: Instance, p: int) -> tuple:
@@ -301,7 +305,7 @@ class _Colour:
                 tuple(self.ids[self.opens[i][at % n_open]].tolist()))
 
 
-def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accept=None):
+def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accept=None, stop=None):
     """Price the moves of swap sizes `sizes` from `sol`, which costs
     `total`, block by block in canonical order; `client_rows` is
     `_client_rows(inst)`.
@@ -310,8 +314,8 @@ def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accep
     after it bit for bit; its delta is that total minus `total`.
     `accept` maps an array of deltas to a boolean mask. With it, the first
     move that passes is returned; without it, the move of least new total,
-    ties to the lowest index. Returns (canonical index, move, new total),
-    or None when no move qualifies.
+    ties to the lowest index; with `stop`, among the first `stop` moves.
+    Returns (canonical index, move, new total), or None when none qualifies.
     """
     rows, fill, at = client_rows
     per = _block_moves(rows.shape[1])
@@ -332,6 +336,7 @@ def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accep
             totals = new.sum(axis=-1).ravel()
             if order is not None:
                 totals = totals.take(order)
+            totals = totals[: None if stop is None else stop - done]
             if accept is None:
                 q = int(totals.argmin())
                 hit = best is None or totals[q] < best[1]
@@ -342,10 +347,10 @@ def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accep
             if hit:
                 at = divmod(q if order is None else int(order[q]), new.shape[1])
                 best = (done + q, totals[q], r_lo + r0 + at[0], b_lo + b0 + at[1])
-                if accept is not None:
-                    break
             done += len(totals)
-        if accept is not None and best is not None:
+            if hit and accept is not None or done == stop:
+                break
+        if done == stop or accept is not None and best is not None:
             break
     if best is None:
         return None

@@ -433,25 +433,36 @@ class TestVerify:
         assert doc["witness"]["open_red"] == [3]
         assert doc["witness"]["delta"] < 0
 
-    def test_stderr_names_the_route(self, tmp_path, capsys):
-        # the (1, 4) member: its designated solution passes by island tables;
-        # with the hub traded for a reference red, the scan finds a witness
+    def verify_member(self, tmp_path, capsys, ell):
+        """`verify` of the (1, ell) member's designated solution: (paths
+        of the instance and the solution, stderr)."""
         out = tmp_path / "family"
-        assert main(["gengap", "--p", "1", "--ell", "4", "--out", str(out)]) == EXIT_OK
+        assert main(["gengap", "--p", "1", "--ell", str(ell), "--out", str(out)]) == EXIT_OK
         ipath, lpath = str(out / "instance.json"), str(out / "local.json")
         capsys.readouterr()
         assert main(["verify", ipath, lpath]) == EXIT_OK
         captured = capsys.readouterr()
         assert set(json.loads(captured.out)) == {"locally_optimal", "moves_checked"}
-        assert captured.err == ("locally optimal under swaps of size <= 1 "
-                                "(129 moves checked, by island tables)\n")
-        local = json.loads((out / "local.json").read_text())
+        return ipath, lpath, captured.err
+
+    def test_stderr_names_the_route(self, tmp_path, capsys):
+        # the (1, 4) member's 129 moves fit in the probe of the scan's first
+        # block; with the hub traded for a reference red, the probe finds a witness
+        ipath, lpath, err = self.verify_member(tmp_path, capsys, 4)
+        assert err == "locally optimal under swaps of size <= 1 (129 moves checked, by enumeration)\n"
+        local = json.loads(Path(lpath).read_text())
         worse = put_solution(tmp_path, Solution(R=set(local["R"]) - {min(local["R"])} | {13},
                                                 B=set(local["B"])), "worse.json")
         assert main(["verify", ipath, worse]) == EXIT_VERIFICATION_FAILED
         captured = capsys.readouterr()
         assert set(json.loads(captured.out)) == {"locally_optimal", "moves_checked", "witness"}
         assert captured.err.startswith("improving move found by enumeration after ")
+
+    def test_stderr_names_the_island_route(self, tmp_path, capsys):
+        # the (1, 20) member's 2,209 moves pass one block (1,143 moves at 43
+        # clients), and its designated solution passes by island tables
+        *_, err = self.verify_member(tmp_path, capsys, 20)
+        assert err == "locally optimal under swaps of size <= 1 (2209 moves checked, by island tables)\n"
 
 
 class TestChecksAtEntry:
@@ -575,15 +586,16 @@ class TestGengap:
         assert main(["gengap", "--p", "2", "--ell", "2"]) == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("p, ell, digest", [
-        (1, 2, "7f24d41c8f2b1902606d55017713a509fd8bda043bdb1727d8c2127b1f13ddcc"),
+        (1, 2, "a082a7bc0aa890785b7b5465fb9cd36d984b8e84ccc0f1722bd9e8954093cfea"),
         (2, 4, "99e64cc239b2a85bfdb12b33c5ade4e09ee71a2ab706263357fb3663f61ac232"),
         (3, 6, "6bcf70d9f2b313522215393bb8ac498642793ae0e23ddf52fd1f94e25fcb08cf"),
     ], ids=["1-2", "2-4", "3-6"])
     def test_family_bytes_unchanged(self, tmp_path, capsys, p, ell, digest):
         # One digest over the four --out files, in this order, then the
         # --verify report at the default cap, whose locally_optimal check
-        # passes by island tables (at (3, 6) the scan's 125,127,497 moves
-        # exceed the cap).
+        # passes by enumeration at (1, 2), whose 49 moves fit in the probe
+        # of the scan's first block, and by island tables at (2, 4) and
+        # (3, 6) (where the scan's 125,127,497 moves exceed the cap).
         argv = ["gengap", "--p", str(p), "--ell", str(ell)]
         out = tmp_path / "family"
         assert main([*argv, "--out", str(out)]) == EXIT_OK

@@ -18,7 +18,9 @@ from rbmedian.errors import CapExceeded
 from rbmedian.exact import _exact_sum, brute_force_opt, is_local_opt, lower_bound
 from rbmedian.gap_gen import GapParams, build
 from rbmedian.instance import Instance, Solution, evaluate, gen_euclidean
-from rbmedian.local_search import SearchConfig, SwapMove, _client_rows, _scan, _swap_sizes, run
+import rbmedian.local_search as local_search
+from rbmedian.local_search import (SearchConfig, SwapMove, _block_moves, _client_rows, _scan, _swap_sizes,
+                                   neighborhood_size, run)
 from rbmedian.metric import MetricSpace, from_graph
 
 
@@ -251,17 +253,18 @@ class TestIsLocalOpt:
             is_local_opt(inst, random_feasible(rng, inst), 4, cap=10)
 
 
-def island_instance(rng: random.Random, n_islands: int, most: int = 3):
+def island_instance(rng: random.Random, n_islands: int, most: int = 3, clients: int = 4):
     """An integer `from_graph` instance of n_islands components, each a
     random tree plus one chord over its clients, reds and blues. Any
     component but the first may have no client, and isolated red and
     blue vertices are facilities with no client nearer than the sentinel.
     Budgets are drawn over all facilities, so they span the components.
-    A component has up to `most` facilities of each colour."""
+    A component has up to `clients` clients and up to `most` facilities
+    of each colour."""
     roles, edges = [], []
     for i in range(n_islands):
         members = []
-        for role, low, high in (("client", 0 if i else 1, 4), ("red", 0, most), ("blue", 0, most)):
+        for role, low, high in (("client", 0 if i else 1, clients), ("red", 0, most), ("blue", 0, most)):
             members += [(role, len(roles) + len(members) + j) for j in range(rng.randint(low, high))]
         members = members or [("red", len(roles))]
         ids = [v for _, v in members]
@@ -301,6 +304,15 @@ def two_distance_instance(rng: random.Random, n_groups: int):
                     blue=by_role["blue"], k_r=k_r, k_b=k_b)
 
 
+def wide_instance(rng: random.Random, n_islands: int):
+    """An `island_instance` of up to 5 facilities of each colour and 10
+    clients a component, each budget half its colour: its neighborhood
+    often spans several blocks, so the probe alone cannot decide it."""
+    inst = island_instance(rng, n_islands, most=5, clients=10)
+    k_r, k_b = len(inst.red) // 2, len(inst.blue) // 2
+    return replace(inst, k_r=k_r, k_b=k_b) if k_r + k_b else inst
+
+
 def scan_route(inst, sol, p):
     """`is_local_opt` with the island route turned off: the scan's verdict."""
     with pytest.MonkeyPatch.context() as m:
@@ -312,26 +324,51 @@ class TestIslandTables:
     """The island route against the full scan, kept as the oracle: the
     least delta over every move, and the verdict with its witness."""
 
+    sides = None  # islands priced as one product (True) or streamed (False)
+
+    def same_tables(self, rows, fill, kinds, p):
+        """`_island_table`, checked against the streamed route (the oracle)
+        at the block size, or just below the island's state pairs where
+        they fit a block, and the one-product route forced: all three are
+        equal entry for entry."""
+        per, pairs = exact._block_moves(rows.shape[1]), math.prod(exact._reach(n, p) for n in kinds)
+        tables = []
+        for block in (per, 10**9, max(1, min(per, pairs - 1))):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(exact, "_block_moves", lambda n_clients: block)
+                tables.append(self.real_table(rows, fill, kinds, p))
+        assert all(t.dtype == np.uint64 and np.array_equal(t, tables[0]) for t in tables), kinds
+        self.sides[pairs <= per] += 1
+        return tables[0]
+
     def check(self, inst, sol, p) -> bool:
         """Both routes agree; True if `is_local_opt` took the island route.
         Where the tables apply, whatever their pair count, each swap size's
-        least delta is the scan's over that size alone."""
-        totals = exact._island_totals(inst, _client_rows(inst), sol, p, math.inf, 10**9)
-        if totals is not None:
-            total = evaluate(inst, sol).total
-            for a, b in _swap_sizes(inst, p):
-                least = _scan(inst, _client_rows(inst), sol, total, ((a, b),))[2] - total
-                assert int(totals[a, a, b, b]) - int(totals[0, 0, 0, 0]) == least, (a, b)
-        verdict, scanned = is_local_opt(inst, sol, p), scan_route(inst, sol, p)
+        least delta is the scan's over that size alone, and every island
+        table passes `same_tables`."""
+        if self.sides is None:
+            self.sides, self.real_table = Counter(), exact._island_table
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact, "_island_table", self.same_tables)
+            totals = exact._island_totals(inst, _client_rows(inst), sol, p, math.inf, 10**9)
+            if totals is not None:
+                total = evaluate(inst, sol).total
+                for a, b in _swap_sizes(inst, p):
+                    least = _scan(inst, _client_rows(inst), sol, total, ((a, b),))[2] - total
+                    assert int(totals[a, a, b, b]) - int(totals[0, 0, 0, 0]) == least, (a, b)
+            verdict, scanned = is_local_opt(inst, sol, p), scan_route(inst, sol, p)
         assert verdict.to_doc() == scanned.to_doc()
         assert scanned.method == "enumeration"
         return verdict.method == "island tables"
 
     def test_seeded_corpus_random_and_locally_optimal(self):
+        # five cases in six have neighborhoods that often pass one block, so
+        # the probe alone does not decide their local optima; the sixth is a
+        # tie-prone two-distance table
         rng = random.Random(0x151A)
         routes = Counter()
         for case in range(90):
-            inst = (island_instance, two_distance_instance)[case % 2](rng, rng.randint(2, 4))
+            inst = (wide_instance, two_distance_instance)[case % 6 == 5](rng, rng.randint(2, 4))
             p = rng.randint(1, 3)
             local = run(inst, SearchConfig(p=p, seed=rng.randrange(100))).solution
             for sol in (random_feasible(rng, inst), local):
@@ -356,6 +393,18 @@ class TestIslandTables:
         for _ in range(12):
             inst = island_instance(rng, rng.randint(2, 3), most=6)
             self.check(inst, random_feasible(rng, inst), rng.randint(1, 3))
+        assert self.sides[False]
+
+    @pytest.mark.parametrize("make", [island_instance, two_distance_instance])
+    def test_islands_on_both_sides_of_the_block(self, make, monkeypatch):
+        # a block of 6 state pairs: some islands fit it and are priced as one
+        # product, the rest are streamed; two-distance tables tie everywhere
+        monkeypatch.setattr(exact, "_block_moves", lambda n_clients: 6)
+        rng = random.Random(0x51DE)
+        for _ in range(30):
+            inst = make(rng, rng.randint(2, 4))
+            self.check(inst, random_feasible(rng, inst), rng.randint(1, 3))
+        assert self.sides[True] >= 5 and self.sides[False] >= 5, self.sides
 
     def test_float_tables_take_the_scan(self):
         inst = island_instance(random.Random(5), 3)
@@ -418,3 +467,71 @@ class TestIslandTables:
         inst = grid_instance(rng, 8, 4, 4, 2, 2)
         sol = random_feasible(rng, inst)
         assert exact._island_totals(inst, _client_rows(inst), sol, 2, math.inf, 10**9) is None
+
+
+class TestProbe:
+    """The probe of the scan's first block against the forced full scan."""
+
+    @staticmethod
+    def full_scan(inst, sol, p):
+        """(locally optimal, witness, delta, moves checked) of the whole scan."""
+        total = evaluate(inst, sol).total
+        found = _scan(inst, _client_rows(inst), sol, total, _swap_sizes(inst, p), lambda delta: delta < 0)
+        if found is None:
+            return True, None, None, neighborhood_size(inst, p)
+        index, move, new_total = found
+        return False, move, new_total - total, index + 1
+
+    def test_seeded_random_and_locally_optimal(self):
+        rng = random.Random(0x9B0E)
+        decided = Counter()
+        for case in range(60):
+            inst = ((wide_instance, two_distance_instance)[case % 3 == 2](rng, rng.randint(2, 4)) if case % 4
+                    else grid_instance(rng, rng.randint(20, 40), 10, 10, rng.randint(2, 4), rng.randint(2, 4)))
+            p = rng.randint(1, 3)
+            local = run(inst, SearchConfig(p=p, seed=rng.randrange(100))).solution
+            for sol in (random_feasible(rng, inst), local):
+                verdict = is_local_opt(inst, sol, p, cap=10**12)
+                got = (verdict.locally_optimal, verdict.witness, verdict.witness_delta, verdict.moves_checked)
+                assert got == self.full_scan(inst, sol, p)
+                per = _block_moves(len(inst.clients))
+                decided[verdict.method, verdict.moves_checked <= per] += 1
+        # witnesses and whole neighborhoods within the probe, and beyond it
+        assert decided["enumeration", True] >= 40 and decided["enumeration", False] >= 5, decided
+        assert decided["island tables", False] >= 10, decided
+
+    def test_never_prices_more_than_the_cap(self, monkeypatch):
+        judged, real = [], exact._scan
+
+        def spy(*args):
+            if len(args) == 7:  # the probe, with its stop
+                accept = args[5]
+                args = (*args[:5], lambda delta: judged.append(len(delta)) or accept(delta), args[6])
+            return real(*args)
+
+        monkeypatch.setattr(exact, "_scan", spy)
+        rng = random.Random(0xCA9)
+        for case in range(60):
+            inst = wide_instance(rng, rng.randint(2, 4)) if case % 2 else grid_instance(rng, 12, 6, 6, 3, 3)
+            p, cap = rng.randint(1, 3), rng.randint(1, 3000)
+            sol = random_feasible(rng, inst) if case % 3 else run(inst, SearchConfig(p=p)).solution
+            judged.clear()
+            try:
+                verdict = is_local_opt(inst, sol, p, cap=cap)
+            except CapExceeded:
+                verdict = None
+            assert sum(judged) <= min(cap, _block_moves(len(inst.clients)))
+            if verdict is not None:
+                assert verdict.moves_checked <= cap or verdict.locally_optimal
+
+    def test_plans_only_the_leading_swap_sizes(self, monkeypatch):
+        # at (3, 12) the first swap size, (0, 1), has 1,521 moves against 313
+        # in a block, so the probe plans that size alone; the island tables
+        # decide, and no scan of the 5.8 * 10^9 moves is planned
+        gap = build(GapParams(p=3, ell=12))
+        planned, real = [], local_search._plan
+        monkeypatch.setattr(local_search, "_plan", lambda *args: planned.append(args[2]) or real(*args))
+        verdict = is_local_opt(gap.instance, gap.local_solution, 3)
+        assert verdict.method == "island tables" and verdict.moves_checked == 5_800_962_755
+        assert planned == [((0, 1),)]
+        assert _swap_sizes(gap.instance, 3)[0] == (0, 1) and _block_moves(len(gap.instance.clients)) == 313
