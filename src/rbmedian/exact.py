@@ -2,12 +2,12 @@
 
 A solution that costs `lower_bound` is optimal, with no search. The two
 scans, and `is_local_opt`'s island tables, refuse work beyond a cap
-instead of running forever. The optimum scan ranks red and blue subsets
-in lexicographic order and keeps the pair of least (cost, red rank, blue
-rank), so among all optimal solutions the lexicographically least (R,
-then B, by sorted facility ids) is returned. Integer metrics are summed
-in int64, so the choice is exact; the reported cost is `evaluate`'s
-total for it.
+instead of running forever; the swap scan's plan and pricer price the
+tables too. The optimum scan ranks red and blue subsets in lexicographic
+order and keeps the pair of least (cost, red rank, blue rank), so among
+all optimal solutions the lexicographically least (R, then B, by sorted
+facility ids) is returned. Integer metrics are summed in int64, so the
+choice is exact; the reported cost is `evaluate`'s total for it.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
-from itertools import accumulate, combinations, islice
+from functools import partial, reduce
+from itertools import accumulate, combinations, islice, product
 from math import comb, inf, prod
 
 import numpy as np
 
 from .errors import CapExceeded
 from .instance import Instance, Solution, evaluate
-from .local_search import (_BLOCK_ENTRIES, ConfigError, SwapMove, _block_moves, _blocks, _client_rows, _positions,
-                           _scan, _size_moves, _states, _subset_minima, _swap_sizes)
+from .local_search import (_BLOCK_ENTRIES, ConfigError, SwapMove, _block_moves, _client_rows, _Colour, _plan, _price,
+                           _scan, _size_moves, _subset_minima, _swap_sizes)
 
 DEFAULT_CAP = 10**8
 
@@ -118,60 +118,27 @@ def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     return OptResult(solution, evaluate(inst, solution).total, pairs)
 
 
-def _colour_sides(rows, fill, open_at, spare_at, p: int, per: int):
-    """Yield one colour's island states per count (a, b), at most p, of
-    open rows `open_at` closed and spare rows `spare_at` opened, in runs of
-    at most `per` sets: ((a, b), the (kept, added, states) `_blocks` takes)."""
-    for a in range(min(p, len(open_at)) + 1):
-        closes = combinations(open_at, len(open_at) - a)  # what each close set keeps
-        while kept := list(islice(closes, per)):
-            kept = _subset_minima(rows, kept, fill)
-            for b in range(min(p, len(spare_at)) + 1):
-                opens = combinations(spare_at, b)
-                while added := list(islice(opens, per)):
-                    added = _subset_minima(rows, added, fill)
-                    yield (a, b), (kept, added, _states(kept, added) if len(kept) * len(added) <= per else None)
-
-
 def _reach(n: int, p: int) -> int:  # subsets of at most p of n facilities
     return sum(comb(n, a) for a in range(min(p, n) + 1))
-
-
-@lru_cache(maxsize=32)
-def _island_states(n_open: int, n_spare: int, first: int, pad: int, p: int) -> tuple:
-    """A colour's island states, open rows from `first`, then spare ones:
-    (the rows each leaves open, padded with `pad`; each count's first
-    state; the counts (a, b) closed and opened, 2 rows in C order)."""
-    counts = [(a, b) for a in range(min(p, n_open) + 1) for b in range(min(p, n_spare) + 1)]
-    runs = [[kept + added for kept in combinations(range(first, first + n_open), n_open - a)
-             for added in combinations(range(first + n_open, first + n_open + n_spare), b)] for a, b in counts]
-    width = max(len(run[0]) for run in runs)
-    padded = [state + (pad,) * (width - len(state)) for run in runs for state in run]
-    return _positions(padded), _positions(list(accumulate(map(len, runs), initial=0))[:-1]), _positions(counts).T
 
 
 def _island_table(rows, fill, kinds, p: int) -> np.ndarray:
     """Least new total of one island per count tuple (close red, open red,
     close blue, open blue), _NONE where no state has those counts. `rows`
     are its facility rows over its clients, in `kinds` runs: open red,
-    spare red, open blue, spare blue. Red states x blue states that fit a
-    block are one product of whole state tables, grouped by count; more
-    are streamed, the red states built again for each run of blue ones."""
-    per, table = _block_moves(rows.shape[1]), np.full((p + 1,) * 4, _NONE)
-    if prod(_reach(n, p) for n in kinds) > per:
-        open_r, spare_r, open_b, spare_b = np.split(np.arange(len(rows)), np.cumsum(kinds[:3]))
-        for b_counts, blue in _colour_sides(rows, fill, open_b, spare_b, p, per):
-            for r_counts, red in _colour_sides(rows, fill, open_r, spare_r, p, per):
-                least = min(int(new.sum(axis=-1).min()) for *_, new in _blocks(red, blue, per))
-                table[r_counts + b_counts] = min(int(table[r_counts + b_counts]), least)
-        return table
-    padded = np.vstack((rows, np.full(rows.shape[1], fill)))
-    (red, r_starts, r_counts), (blue, b_starts, b_counts) = (
-        (_subset_minima(padded, states, fill), starts, counts) for states, starts, counts in
-        (_island_states(*kinds[:2], 0, len(rows), p), _island_states(*kinds[2:], sum(kinds[:2]), len(rows), p)))
-    totals = np.minimum(red[:, None], blue[None]).sum(axis=-1)
-    table[(*r_counts[..., None], *b_counts[:, None])] = np.minimum.reduceat(
-        np.minimum.reduceat(totals, r_starts, axis=0), b_starts, axis=1)
+    spare red, open blue, spare blue. Its plan's groups are every red side
+    against every blue side, all (close, open) count pairs up to p."""
+    per, table, reach = _block_moves(rows.shape[1]), np.full((p + 1,) * 4, _NONE), [min(p, n) + 1 for n in kinds]
+    groups = tuple(product(*(tuple(product(range(reach[c]), range(reach[c + 1]))) for c in (0, 2))))
+    *plan, steps, _ = _plan(tuple(kinds[:2]), tuple(kinds[2:]), groups, per)
+    padded = np.vstack((rows, np.full(rows.shape[1], fill)))  # a fill row, each colour's pad position
+    red, blue = (_Colour(padded, fill, np.r_[own, len(rows)], colour, per)
+                 for own, colour in zip(np.split(np.arange(len(rows)), [kinds[0] + kinds[1]]), plan))
+    least = np.full(len(groups), np.iinfo(np.int64).max)
+    for g, starts, totals, _ in _price(red, blue, steps, per):
+        end = g + len(starts)
+        least[g:end] = np.minimum(least[g:end], np.minimum.reduceat(totals, starts))
+    table[tuple(map(slice, reach))] = least.reshape(reach)  # groups run over the count tuples in C order
     return table
 
 
@@ -240,8 +207,9 @@ def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) 
     within it, decides "by enumeration". Else, if `_island_totals` prices
     fewer blocks than the scan (each swap size's moves in blocks) or the
     scan exceeds the cap, and no swap size lowers its total, the verdict
-    is "island tables"; else the whole scan decides. Routes refuse work
-    beyond the cap. For p >= max(k_r, k_b) this is global optimality.
+    is "island tables"; else the scan decides, resuming after the probe.
+    Routes refuse work beyond the cap. For p >= max(k_r, k_b) this is
+    global optimality.
     """
     total = evaluate(inst, sol).total
     if p < 1:
@@ -257,7 +225,7 @@ def is_local_opt(inst: Instance, sol: Solution, p: int, cap: int = DEFAULT_CAP) 
         if totals is not None and min(int(totals[a, a, b, b]) for a, b in sizes) >= int(totals[0, 0, 0, 0]):
             return LocalOptVerdict(True, None, None, size, "island tables")
         _refuse_over_cap(size, "neighborhood moves", cap, "enumeration")
-        found = _scan(inst, rows, sol, total, sizes, improves)
+        found = _scan(inst, rows, sol, total, sizes, improves, start=probe)
     if found is None:
         return LocalOptVerdict(True, None, None, size)
     index, move, new_total = found

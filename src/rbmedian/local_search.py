@@ -9,28 +9,23 @@ this module (best-improvement tie-breaks, first-improvement selection,
 witness reporting) is stated against that order, which `_plan` alone
 defines.
 
-A plan holds everything in a scan that depends only on its shape: each
-colour's open and spare counts, the swap sizes and the block size. It is
-built once per shape and cached, on positions among a colour's open ids
-ascending, then its spare ids ascending. A scan lays out only the two id
-arrays, gathers its state rows through them and maps the winning state
-back to ids.
-
-A move's new distances are the columnwise minimum of its red and blue
-states: what each colour leaves open after a (close set, open set) swap.
-Blocks are contiguous runs of the canonical order of about _BLOCK_ENTRIES
-(moves x clients) entries, so the working arrays stay in cache. A run of
-groups whose red states against all blue states fit in a block is priced
-as that one product, from whole state tables built at once, and put in
-canonical order by the plan's permutation. Other groups are priced one by
-one from slices of those tables, or from minima over what each close set
-leaves open and over each open set; a blue table too large for a block
-is never built, each red state being folded into the blue close-set
-minima. A move's new total sums its new distances over one contiguous
-client row, as `evaluate` sums a solution's, so the priced total is the
-one `evaluate` would give; integer metrics stay in int64, so their deltas
-are exact. `run` therefore evaluates only its starting solution: it takes
-the client rows once and carries each accepted move's priced total.
+One plan and one pricer serve this scan and `exact`'s island tables. A
+plan (`_plan`, cached per shape) lays out groups of (close count, open
+count) sides of each colour on positions: a colour's open ids ascending,
+then its spare ids. A scan plans the sides (a, a) and (b, b) of its swap
+sizes; an island plans every pair up to p. `_price` yields a plan's blocks
+in order, runs of about _BLOCK_ENTRIES (moves x clients) entries so that
+the working arrays stay in cache. A move's new distances are the
+columnwise minimum of its red and blue states, what each colour leaves
+open. Groups whose red states against all blue states fit a block are one
+product of whole state tables; other groups are priced from minima over
+what each close set keeps and over each open set, built a block of sets at
+a time, and a blue side too large for a block has each red state folded
+into its close-set minima. A move's new total sums its new distances over
+one contiguous client row, as `evaluate` sums a solution's, so the priced
+total is `evaluate`'s; integer metrics stay in int64, so deltas are exact.
+`run` evaluates only its starting solution and then carries each accepted
+move's priced total.
 
 With epsilon > 0 a move is accepted only if it cuts cost by a relative
 (epsilon / n) factor, which bounds the number of iterations; epsilon = 0
@@ -45,7 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 
@@ -183,179 +178,214 @@ def _states(kept, added) -> np.ndarray:
     return np.minimum(kept[:, None], added[None]).reshape(len(kept) * len(added), -1)
 
 
-def _runs(kept, added, states, per):
-    """Runs of at most `per` consecutive states of one colour, C order, as
-    (first state, state rows): slices of `states` when the whole table was
-    built, else states of whole close sets or of part of one."""
-    if states is not None:
-        for lo in range(0, len(states), per):
-            yield lo, states[lo : lo + per]
-        return
-    n_open = len(added)
-    step, width = max(per // n_open, 1), min(per, n_open)
-    for c in range(0, len(kept), step):
-        for o in range(0, n_open, width):
-            yield c * n_open + o, _states(kept[c : c + step], added[o : o + width])
+def _sets(first: int, n: int, size: int, per: int):
+    """Runs of `per` (the last of at most `per`) of the `size`-subsets of
+    positions first, ..., first + n - 1: ascending rows, lexicographic."""
+    sets = combinations(range(first, first + n), size)
+    while run := list(islice(sets, per)):
+        yield np.array(run, dtype=np.intp).reshape(len(run), size)
 
 
-def _blocks(red, blue, per):
-    """Yield (first red state, first blue state, new distances) per block of
-    one group, canonical order; new is (red states, blue states, clients)
-    and freshly allocated. A blue table too large for a block is never
-    built: each red state is folded into the blue close-set minima."""
-    r_kept, r_added, r_states = red
-    b_kept, b_added, b_states = blue
-    if b_states is not None:
-        for r0, r_rows in _runs(r_kept, r_added, r_states, per // len(b_states)):
-            yield r0, 0, np.minimum(r_rows[:, None], b_states[None])
-    else:
-        for r, r_row in _runs(r_kept, r_added, r_states, 1):
-            for b0, b_rows in _runs(np.minimum(b_kept, r_row), b_added, None, per):
-                yield r, b0, b_rows[None]
+@lru_cache(maxsize=256)
+def _nth(first: int, n: int, size: int, index: int) -> tuple:  # set number `index` of `_sets(first, n, size, ...)`
+    return next(islice(combinations(range(first, first + n), size), index, None))
 
 
-def _positions(sets) -> np.ndarray:
-    """`sets`, each of one width, as a read-only array, for a cached plan."""
-    table = np.array(sets, dtype=np.intp)
-    table.flags.writeable = False
-    return table
+def _kept(k: int, closes: np.ndarray) -> np.ndarray:
+    """The positions among 0, ..., k - 1 that each row of `closes` keeps."""
+    keep = np.ones((len(closes), k), dtype=bool)
+    keep[np.arange(len(closes))[:, None], closes] = False
+    return np.nonzero(keep)[1].reshape(len(closes), k - closes.shape[1])
 
 
 @lru_cache(maxsize=16)
-def _plan(red: tuple, blue: tuple, sizes: tuple, per: int) -> tuple:
-    """The scan of swap sizes `sizes`, (a, b) pairs in canonical order, in
-    blocks of `per` moves, for colours of (open, spare) counts `red` and
-    `blue`. It holds positions only, among a colour's open ids ascending,
-    then its spare ids ascending, so one plan serves every solution of its
-    shape; it alone defines the canonical order.
+def _plan(red: tuple, blue: tuple, groups: tuple, per: int) -> tuple:
+    """How to price `groups`, (red side, blue side) pairs, in blocks of
+    `per` moves for colours of (open, spare) counts `red` and `blue`. A side
+    (c, o) closes c open and opens o spare facilities, a side a is (a, a);
+    its states are its (close set, open set) pairs, lexicographic, in C
+    order. Groups run in order, red state major: a scan's canonical order.
 
-    Returns (red sides, blue sides, groups, steps). A colour's sides, one
-    per swap size, are (close sets, the open positions each close set
-    keeps, open sets, first state of each side, the positions each state
-    leaves open or None), states numbered side after side in C order; the
-    last is built only where whole tables are priced. A group is (red side,
-    blue side). A step is a run of groups whose red states against all
-    blue states fit in a block, as ((first red state, end red state),
-    positions of its moves in canonical order among those states against
-    all blue ones), or one group, as ((red side, blue side), None).
+    Returns (red, blue, steps, each step's first move, then the count). A
+    colour is (open count, spare count, sides ascending, each side's first
+    state, then the count, the positions each close set keeps and each
+    open set per count of at most `per` sets, and, for whole tables, what
+    each state leaves open, padded with position open + spare). A step is
+    (first group, step, order, group starts): groups whose red states
+    against all blue states fit a block, as ((first red state, end), their
+    moves' positions among those states against all blue ones, each
+    group's first move there); or groups of one red side whose blue sides
+    share a close count, as ((red side, blue sides), None, [0]).
     """
-    sides = []
-    for (k, spare), own in ((red, {a for a, _ in sizes}), (blue, {b for _, b in sizes})):
-        own = sorted(own)
-        closes = [list(combinations(range(k), a)) for a in own]
-        opens = [list(combinations(range(k, k + spare), a)) for a in own]
-        kept = [[[i for i in range(k) if i not in c] for c in cs] for cs in closes]
-        first = tuple(accumulate((len(cs) * len(os) for cs, os in zip(closes, opens)), initial=0))
-        sides.append((own, closes, kept, opens, first))
-    (r_own, *_, rf), (b_own, *_, bf) = sides
-    pairs = tuple((r_own.index(a), b_own.index(b)) for a, b in sizes)
+    groups = [tuple(side if isinstance(side, tuple) else (side, side) for side in group) for group in groups]
+    colours = []
+    for (k, spare), own in ((red, {r for r, _ in groups}), (blue, {b for _, b in groups})):
+        own = tuple(sorted(own))
+        first = tuple(accumulate((math.comb(k, c) * math.comb(spare, o) for c, o in own), initial=0))
+        held = {(n, closed): _kept(k, sets) if closed else sets
+                for n, closed in {*((c, True) for c, _ in own), *((o, False) for _, o in own)}
+                if math.comb(k if closed else spare, n) <= per
+                for sets in _sets(0 if closed else k, k if closed else spare, n, per)}
+        colours.append([k, spare, own, first, held, None])
+    (*_, r_sides, rf, _, _), (*_, b_sides, bf, _, _) = colours
+    pairs = [(r_sides.index(r), b_sides.index(b)) for r, b in groups]
+    moves = [(rf[r + 1] - rf[r]) * (bf[b + 1] - bf[b]) for r, b in pairs]
     steps, i = [], 0
     while i < len(pairs):
         r, j = pairs[i][0], i
         while j < len(pairs) and rf[-1] <= per and (rf[pairs[j][0] + 1] - rf[r]) * bf[-1] <= per:
             j += 1
         if j > i + 1:
-            order = _positions(np.concatenate([((np.arange(rf[r2], rf[r2 + 1]) - rf[r])[:, None] * bf[-1]
-                                                + np.arange(bf[b], bf[b + 1])).ravel() for r2, b in pairs[i:j]]))
-            steps.append(((rf[r], rf[pairs[j - 1][0] + 1]), order))
+            order = np.concatenate([((np.arange(rf[r2], rf[r2 + 1]) - rf[r])[:, None] * bf[-1]
+                                     + np.arange(bf[b], bf[b + 1])).ravel() for r2, b in pairs[i:j]])
+            starts = np.array(list(accumulate(moves[i : j - 1], initial=0)))
+            steps.append((i, (rf[r], rf[pairs[j - 1][0] + 1]), order, starts))
         else:
-            j = i + 1
-            steps.append((pairs[i], None))
+            c, j = b_sides[pairs[i][1]][0], i + 1
+            while j < len(pairs) and pairs[j][0] == r and b_sides[pairs[j][1]][0] == c:
+                j += 1
+            steps.append((i, (r, tuple(b for _, b in pairs[i:j])), None, np.zeros(1, dtype=np.intp)))
         i = j
-    whole = any(order is not None for _, order in steps)
-    for c, (_, closes, kept, opens, first) in enumerate(sides):
-        sides[c] = (*(tuple(map(_positions, sets)) for sets in (closes, kept, opens)), first,
-                    _positions([kk + list(o) for kp, os in zip(kept, opens) for kk in kp for o in os])
-                    if whole else None)
-    return (*sides, pairs, tuple(steps))
+    for colour in colours if any(order is not None for _, _, order, _ in steps) else ():
+        k, spare, own, _, held, _ = colour
+        width, tables = max(k - c + o for c, o in own), []
+        for c, o in own:
+            kept, opens = held[c, True], held[o, False]
+            table = np.full((len(kept), len(opens), width), k + spare, dtype=np.intp)
+            table[..., : k - c] = kept[:, None]
+            table[..., k - c : k - c + o] = opens
+            tables.append(table.reshape(len(kept) * len(opens), width))
+        colour[-1] = np.concatenate(tables)
+    firsts = list(accumulate(moves, initial=0))
+    return (*map(tuple, colours), tuple(steps), tuple(firsts[i] for i, *_ in steps) + (firsts[-1],))
 
 
 class _Colour:
-    """A colour's state rows in one scan, built from its plan sides through
-    its ids and their rows `at`: the whole table where the plan prices
-    whole tables, else each side's minima over what each close set keeps
-    and over each open set, when first needed."""
+    """A colour's state rows in one pricing, through `at`, the row of each
+    of its positions: whole tables, side tables, or minima over what each
+    close set keeps and over each open set, streamed a block at a time."""
 
-    def __init__(self, rows, fill, ids, at, sides, per):
-        self.rows, self.fill, self.ids, self.at, self.per = rows, fill, ids, at[ids], per
-        self.closes, self.kept, self.opens, self.first, self.open_after = sides
-        self.memo, self.table = {}, None
+    def __init__(self, rows, fill, at, colour, per):
+        self.rows, self.fill, self.at, self.per = rows, fill, at, per
+        self.k, self.spare, self.sides, self.first, self.held, open_after = colour
+        self.whole = None if open_after is None else _subset_minima(rows, at[open_after], fill)
+        self.memo = {}
 
-    def whole(self):
-        if self.table is None:
-            self.table = _subset_minima(self.rows, self.at[self.open_after], self.fill)
-        return self.table
+    def minima(self, count: int, closed: bool):
+        """(first set, rows) per run of the close sets (closed) or open sets
+        of size `count`: the minimum over what each keeps, or opens."""
+        key = count, closed
+        if key not in self.held:
+            runs = enumerate(_sets(0 if closed else self.k, self.k if closed else self.spare, count, self.per))
+            return ((i * self.per, _subset_minima(self.rows, self.at[_kept(self.k, run) if closed else run], self.fill))
+                    for i, run in runs)
+        if key not in self.memo:
+            self.memo[key] = [(0, _subset_minima(self.rows, self.at[self.held[key]], self.fill))]
+        return self.memo[key]
 
-    def tables(self, i):
-        """(kept, added, states) of side i for `_blocks`."""
-        if self.open_after is not None:
-            return None, None, self.whole()[self.first[i] : self.first[i + 1]]
+    def states(self, i):
+        """Side i's state table, which fits a block."""
+        if self.whole is not None:
+            return self.whole[self.first[i] : self.first[i + 1]]
         if i not in self.memo:
-            kept = _subset_minima(self.rows, self.at[self.kept[i]], self.fill)
-            added = _subset_minima(self.rows, self.at[self.opens[i]], self.fill)
-            fits = len(kept) * len(added) <= self.per
-            self.memo[i] = (kept, added, _states(kept, added) if fits else None)
+            c, o = self.sides[i]
+            self.memo[i] = _states(_subset_minima(self.rows, self.at[self.held[c, True]], self.fill),
+                                   _subset_minima(self.rows, self.at[self.held[o, False]], self.fill))
         return self.memo[i]
 
-    def pick(self, state):
-        """(close set, open set) of state number `state`, as id tuples."""
+    def runs(self, i, per, kept=None):
+        """(first state, rows) per run of at most `per` states of side i, C
+        order; `kept`, runs of close-set minima, replaces the side's own."""
+        if kept is None and self.first[i + 1] - self.first[i] <= self.per:
+            states = self.states(i)
+            for lo in range(0, len(states), per):
+                yield lo, states[lo : lo + per]
+            return
+        n_open = math.comb(self.spare, self.sides[i][1])
+        step = max(per // n_open, 1)
+        for c0, run in kept or self.minima(self.sides[i][0], True):
+            for c in range(0, len(run), step):
+                for o0, added in self.minima(self.sides[i][1], False):
+                    for lo in range(0, len(added), per):
+                        yield (c0 + c) * n_open + o0 + lo, _states(run[c : c + step], added[lo : lo + per])
+
+    def pick(self, state, ids):
+        """State number `state` as (close set, open set) tuples of `ids`."""
         i = bisect_right(self.first, state) - 1
-        at, n_open = state - self.first[i], len(self.opens[i])
-        return (tuple(self.ids[self.closes[i][at // n_open]].tolist()),
-                tuple(self.ids[self.opens[i][at % n_open]].tolist()))
+        (c, o), k = self.sides[i], self.k
+        close, opened = divmod(state - self.first[i], math.comb(self.spare, o))
+        return (tuple(map(ids.__getitem__, _nth(0, k, c, close))),
+                tuple(map(ids.__getitem__, _nth(k, self.spare, o, opened))))
 
 
-def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accept=None, stop=None):
+def _price(red: _Colour, blue: _Colour, steps, per):
+    """Yield each block of `steps` in order as (first group, group starts,
+    totals, (order, width, r0, b0)): its moves' new totals in canonical
+    order, groups from the first on starting at `starts`; totals[q] is red
+    state r0 + i // width against blue state b0 + i % width, i = order[q],
+    or q where order is None. A blue side too large for a block is never
+    built: each red state is folded into its close-set minima instead, and
+    the step's groups take turns on each run (a scan's steps have one)."""
+    for g, step, order, starts in steps:
+        if order is not None:
+            new = np.minimum(red.whole[slice(*step), None], blue.whole[None])
+            yield g, starts, new.sum(axis=-1).ravel().take(order), (order, len(blue.whole), step[0], 0)
+            continue
+        r, bs = step
+        if all(blue.first[b + 1] - blue.first[b] <= per for b in bs):
+            for j, b in enumerate(bs):
+                b_states = blue.states(b)
+                for r0, r_rows in red.runs(r, per // len(b_states)):
+                    totals = np.minimum(r_rows[:, None], b_states[None]).sum(axis=-1).ravel()
+                    yield g + j, starts, totals, (None, len(b_states), red.first[r] + r0, blue.first[b])
+            continue
+        for r0, r_row in red.runs(r, 1):
+            for c0, kept in blue.minima(blue.sides[bs[0]][0], True):
+                folded = [(c0, np.minimum(kept, r_row))]
+                for j, b in enumerate(bs):
+                    for b0, new in blue.runs(b, per, folded):
+                        yield g + j, starts, new.sum(axis=-1), (None, len(new), red.first[r] + r0, blue.first[b] + b0)
+
+
+def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accept=None, stop=None, start=0):
     """Price the moves of swap sizes `sizes` from `sol`, which costs
-    `total`, block by block in canonical order; `client_rows` is
-    `_client_rows(inst)`.
-
-    A move is priced by its new total, which `evaluate` gives the solution
-    after it bit for bit; its delta is that total minus `total`.
+    `total`, in canonical order from move `start` on; `client_rows` is
+    `_client_rows(inst)`. A move's new total is the one `evaluate` gives
+    the solution after it, bit for bit, and its delta that minus `total`.
     `accept` maps an array of deltas to a boolean mask. With it, the first
     move that passes is returned; without it, the move of least new total,
-    ties to the lowest index; with `stop`, among the first `stop` moves.
-    Returns (canonical index, move, new total), or None when none qualifies.
-    """
+    ties to the lowest index; with `stop`, among the moves before move
+    `stop`. Returns (canonical index, move, new total), or None."""
     rows, fill, at = client_rows
     per = _block_moves(rows.shape[1])
     colours = ((sol.R, inst.red), (sol.B, inst.blue))
-    *sides, _, steps = _plan(*((len(chosen), len(pool) - len(chosen)) for chosen, pool in colours), sizes, per)
-    red, blue = (_Colour(rows, fill, np.array(sorted(chosen) + [f for f in pool if f not in chosen],
-                                              dtype=np.intp), at, own, per)
-                 for (chosen, pool), own in zip(colours, sides))
-    best, done = None, 0  # best: (canonical index, new total, red state, blue state)
-    for step, order in steps:
-        if order is None:
-            r, b = step
-            tables, r_lo, b_lo = (red.tables(r), blue.tables(b)), red.first[r], blue.first[b]
+    ids = [sorted(chosen) + [f for f in pool if f not in chosen] for chosen, pool in colours]
+    *plan, steps, firsts = _plan(*((len(chosen), len(pool) - len(chosen)) for chosen, pool in colours), sizes, per)
+    red, blue = (_Colour(rows, fill, at[np.array(own, dtype=np.intp)], colour, per) for own, colour in zip(ids, plan))
+    s = bisect_right(firsts, start) - 1
+    best, done = None, firsts[s]  # best: (canonical index, new total, red state, blue state)
+    for _, _, totals, (order, width, r0, b0) in _price(red, blue, steps[s:], per):
+        lo, done = done, done + len(totals)
+        if done <= start:
+            continue
+        cut = max(start - lo, 0)
+        totals = totals[cut : None if stop is None else stop - lo]
+        if accept is None:
+            q = int(totals.argmin())
+            hit = best is None or totals[q] < best[1]
         else:
-            (r_lo, r_hi), b_lo = step, 0
-            tables = (None, None, red.whole()[r_lo:r_hi]), (None, None, blue.whole())
-        for r0, b0, new in _blocks(*tables, per):
-            totals = new.sum(axis=-1).ravel()
-            if order is not None:
-                totals = totals.take(order)
-            totals = totals[: None if stop is None else stop - done]
-            if accept is None:
-                q = int(totals.argmin())
-                hit = best is None or totals[q] < best[1]
-            else:
-                hits = accept(totals - total)
-                q = int(hits.argmax())
-                hit = bool(hits[q])
-            if hit:
-                at = divmod(q if order is None else int(order[q]), new.shape[1])
-                best = (done + q, totals[q], r_lo + r0 + at[0], b_lo + b0 + at[1])
-            done += len(totals)
-            if hit and accept is not None or done == stop:
-                break
-        if done == stop or accept is not None and best is not None:
+            hits = accept(totals - total)
+            q = int(hits.argmax())
+            hit = bool(hits[q])
+        if hit:
+            i = q + cut if order is None else int(order[q + cut])
+            best = (lo + cut + q, totals[q], r0 + i // width, b0 + i % width)
+        if hit and accept is not None or stop is not None and done >= stop:
             break
     if best is None:
         return None
     index, new_total, r, b = best
-    return index, SwapMove(*red.pick(r), *blue.pick(b)), new_total.item()
+    return index, SwapMove(*red.pick(r, ids[0]), *blue.pick(b, ids[1])), new_total.item()
 
 
 def _random_solution(inst: Instance, seed: int) -> Solution:

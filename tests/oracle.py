@@ -2,8 +2,8 @@
 
 `scalar_evaluate` assigns clients one at a time in plain Python, the
 reference for `evaluate` and its `instance.nearest`. `neighborhood`
-enumerates the moves one by one in canonical order, mapping the scan
-plan's positions to ids (`plan_moves`), and `DeltaEvaluator`
+enumerates the moves one by one in canonical order, from the order's
+definition (`plan_moves`), and `DeltaEvaluator`
 prices one move at a time; the `oracle_*` helpers scan the first with the
 second and apply the selection rules move by move, the way the search did
 before it priced moves in numpy blocks. `delta_cost` prices any one move
@@ -20,20 +20,30 @@ slow oracle for its messages, witnesses and rows.
 `reference_make_groups` and `reference_make_blocks` are the grouping
 and block assembly that `decomposition` used before one filler rule
 replaced the class-driven fallback cascade.
+`reference_island_table` is the island pricer `exact` used before the
+swap scan's plan and pricer served the islands too: one product of whole
+padded state tables where an island fits a block, else streamed
+`_colour_sides`, red states built again for each run of blue ones.
+`census` judges every feasible solution of a small instance at once,
+from subset bitmasks and the facility rows, sharing no pricing code with
+the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, combinations, islice, product
+from math import prod
 
 import numpy as np
 
 from rbmedian.decomposition import BLUE, RED, FacilityClass, GroupKind
 from rbmedian.errors import InternalInvariantError
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
-from rbmedian.local_search import SwapMove, _client_rows, _plan, _scan, _swap_sizes
+from rbmedian.exact import _NONE, _reach
+from rbmedian.local_search import SwapMove, _block_moves, _client_rows, _scan, _states, _subset_minima, _swap_sizes
 from rbmedian.metric import FLOAT_TOL, INT_LIMIT, MetricError, MetricSpace, _decode, _kind, _relax
 
 _INF = float("inf")
@@ -107,21 +117,16 @@ class DeltaEvaluator:
 
 
 def plan_moves(inst: Instance, sol: Solution, sizes):
-    """Yield the moves of swap sizes `sizes` in the plan's canonical order,
-    its positions mapped to ids: a colour's open ids ascending, then its
-    spare ids ascending."""
+    """Yield the moves of swap sizes `sizes` in canonical order, from the
+    order's definition: swap size by swap size, then close red, open red,
+    close blue and open blue sets, each listed lexicographically over its
+    colour's open (or spare) ids ascending."""
     colours = [(sorted(chosen), sorted(pool - chosen)) for chosen, pool in
                ((sol.R, inst.red_set), (sol.B, inst.blue_set))]
-    *plan, pairs, _ = _plan(*((len(o), len(s)) for o, s in colours), tuple(sizes), 1)
-    sides = []
-    for (opened, spare), (closes, _, opens, *_) in zip(colours, plan):
-        ids = opened + spare
-        sides.append([([tuple(ids[x] for x in row) for row in cs.tolist()],
-                       [tuple(ids[x] for x in row) for row in os.tolist()])
-                      for cs, os in zip(closes, opens)])
-    for r, b in pairs:
-        for cr, orr, cb, ob in product(*sides[0][r], *sides[1][b]):
-            yield SwapMove(cr, orr, cb, ob)
+    for a, b in sizes:
+        for move in product(*(combinations(ids, n) for (opened, spare), n in zip(colours, (a, b))
+                              for ids in (opened, spare))):
+            yield SwapMove(*move)
 
 
 def neighborhood(inst: Instance, sol: Solution, p: int):
@@ -147,6 +152,122 @@ def delta_cost(inst: Instance, sol: Solution, move: SwapMove):
         return hits
 
     return _scan(inst, _client_rows(inst), sol, total, sizes, only)[2] - total
+
+
+def _runs(kept, added, states, per):
+    """Runs of at most `per` consecutive states of one colour, C order, as
+    (first state, state rows): slices of `states` when the whole table was
+    built, else states of whole close sets or of part of one."""
+    if states is not None:
+        for lo in range(0, len(states), per):
+            yield lo, states[lo : lo + per]
+        return
+    n_open = len(added)
+    step, width = max(per // n_open, 1), min(per, n_open)
+    for c in range(0, len(kept), step):
+        for o in range(0, n_open, width):
+            yield c * n_open + o, _states(kept[c : c + step], added[o : o + width])
+
+
+def _blocks(red, blue, per):
+    """Yield (first red state, first blue state, new distances) per block of
+    one group, canonical order; new is (red states, blue states, clients)
+    and freshly allocated. A blue table too large for a block is never
+    built: each red state is folded into the blue close-set minima."""
+    r_kept, r_added, r_states = red
+    b_kept, b_added, b_states = blue
+    if b_states is not None:
+        for r0, r_rows in _runs(r_kept, r_added, r_states, per // len(b_states)):
+            yield r0, 0, np.minimum(r_rows[:, None], b_states[None])
+    else:
+        for r, r_row in _runs(r_kept, r_added, r_states, 1):
+            for b0, b_rows in _runs(np.minimum(b_kept, r_row), b_added, None, per):
+                yield r, b0, b_rows[None]
+
+
+def _positions(sets) -> np.ndarray:
+    """`sets`, each of one width, as a read-only array, for a cached plan."""
+    table = np.array(sets, dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def _colour_sides(rows, fill, open_at, spare_at, p: int, per: int):
+    """Yield one colour's island states per count (a, b), at most p, of
+    open rows `open_at` closed and spare rows `spare_at` opened, in runs of
+    at most `per` sets: ((a, b), the (kept, added, states) `_blocks` takes)."""
+    for a in range(min(p, len(open_at)) + 1):
+        closes = combinations(open_at, len(open_at) - a)  # what each close set keeps
+        while kept := list(islice(closes, per)):
+            kept = _subset_minima(rows, kept, fill)
+            for b in range(min(p, len(spare_at)) + 1):
+                opens = combinations(spare_at, b)
+                while added := list(islice(opens, per)):
+                    added = _subset_minima(rows, added, fill)
+                    yield (a, b), (kept, added, _states(kept, added) if len(kept) * len(added) <= per else None)
+
+
+@lru_cache(maxsize=32)
+def _island_states(n_open: int, n_spare: int, first: int, pad: int, p: int) -> tuple:
+    """A colour's island states, open rows from `first`, then spare ones:
+    (the rows each leaves open, padded with `pad`; each count's first
+    state; the counts (a, b) closed and opened, 2 rows in C order)."""
+    counts = [(a, b) for a in range(min(p, n_open) + 1) for b in range(min(p, n_spare) + 1)]
+    runs = [[kept + added for kept in combinations(range(first, first + n_open), n_open - a)
+             for added in combinations(range(first + n_open, first + n_open + n_spare), b)] for a, b in counts]
+    width = max(len(run[0]) for run in runs)
+    padded = [state + (pad,) * (width - len(state)) for run in runs for state in run]
+    return _positions(padded), _positions(list(accumulate(map(len, runs), initial=0))[:-1]), _positions(counts).T
+
+
+def reference_island_table(rows, fill, kinds, p: int) -> np.ndarray:
+    """Least new total of one island per count tuple (close red, open red,
+    close blue, open blue), _NONE where no state has those counts. `rows`
+    are its facility rows over its clients, in `kinds` runs: open red,
+    spare red, open blue, spare blue. Red states x blue states that fit a
+    block are one product of whole state tables, grouped by count; more
+    are streamed, the red states built again for each run of blue ones."""
+    per, table = _block_moves(rows.shape[1]), np.full((p + 1,) * 4, _NONE)
+    if prod(_reach(n, p) for n in kinds) > per:
+        open_r, spare_r, open_b, spare_b = np.split(np.arange(len(rows)), np.cumsum(kinds[:3]))
+        for b_counts, blue in _colour_sides(rows, fill, open_b, spare_b, p, per):
+            for r_counts, red in _colour_sides(rows, fill, open_r, spare_r, p, per):
+                least = min(int(new.sum(axis=-1).min()) for *_, new in _blocks(red, blue, per))
+                table[r_counts + b_counts] = min(int(table[r_counts + b_counts]), least)
+        return table
+    padded = np.vstack((rows, np.full(rows.shape[1], fill)))
+    (red, r_starts, r_counts), (blue, b_starts, b_counts) = (
+        (_subset_minima(padded, states, fill), starts, counts) for states, starts, counts in
+        (_island_states(*kinds[:2], 0, len(rows), p), _island_states(*kinds[2:], sum(kinds[:2]), len(rows), p)))
+    totals = np.minimum(red[:, None], blue[None]).sum(axis=-1)
+    table[(*r_counts[..., None], *b_counts[:, None])] = np.minimum.reduceat(
+        np.minimum.reduceat(totals, r_starts, axis=0), b_starts, axis=1)
+    return table
+
+
+def census(inst: Instance, p: int) -> dict:
+    """Every feasible (R, B) of `inst`, mapped to (its total, whether no
+    swap of at most p facilities of each colour improves it), all judged
+    at once from subset bitmasks and the facility rows. A p-swap neighbour
+    keeps each budget and shares at least k - p of each colour's k
+    facilities (its masks differ in at most 2p bits), so the neighbourhood
+    is a red ball times a blue ball; each solution's least total over it is
+    a minimum over the red ball, then over the blue ball. Totals are int64
+    sums, exact on integer tables."""
+    clients, big = list(inst.clients), np.iinfo(np.int64).max
+    sides = []
+    for pool, k in ((inst.red, inst.k_r), (inst.blue, inst.k_b)):
+        subsets = list(combinations(pool, k))
+        rows = inst.space.rows(pool)[:, clients] if pool else np.zeros((0, len(clients)), dtype=np.int64)
+        masks = np.array([[f in s for f in pool] for s in subsets], dtype=np.int64)
+        minima = np.array([rows[mask.astype(bool)].min(axis=0) if k else np.full(len(clients), big) for mask in masks])
+        sides.append((subsets, minima, masks @ masks.T >= k - p))
+    (reds, r_min, r_ball), (blues, b_min, b_ball) = sides
+    totals = np.minimum(r_min[:, None], b_min[None]).sum(axis=-1)
+    least = np.where(r_ball[:, :, None], totals[None], big).min(axis=1)
+    least = np.where(b_ball[None], least[:, None], big).min(axis=2)
+    return {Solution(frozenset(R), frozenset(B)): (int(totals[r, b]), bool(totals[r, b] <= least[r, b]))
+            for r, R in enumerate(reds) for b, B in enumerate(blues)}
 
 
 def deficiency(members, s_sol: Solution, o_sol: Solution) -> int:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import rbmedian.exact as exact
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
-from oracle import delta_cost, neighborhood
+from oracle import census, delta_cost, neighborhood, reference_island_table
 from rbmedian.errors import CapExceeded
 from rbmedian.exact import _exact_sum, brute_force_opt, is_local_opt, lower_bound
 from rbmedian.gap_gen import GapParams, build
@@ -324,22 +325,22 @@ class TestIslandTables:
     """The island route against the full scan, kept as the oracle: the
     least delta over every move, and the verdict with its witness."""
 
-    sides = None  # islands priced as one product (True) or streamed (False)
+    sides = None  # islands whose state pairs fit one block (True) or not (False)
 
     def same_tables(self, rows, fill, kinds, p):
-        """`_island_table`, checked against the streamed route (the oracle)
-        at the block size, or just below the island's state pairs where
-        they fit a block, and the one-product route forced: all three are
-        equal entry for entry."""
+        """`_island_table` at the block size, at 10^9, where every island is
+        one product, and just below the island's state pairs, checked
+        against `reference_island_table`, the two-route pricer it replaced:
+        all equal entry for entry, in uint64."""
         per, pairs = exact._block_moves(rows.shape[1]), math.prod(exact._reach(n, p) for n in kinds)
-        tables = []
+        want = reference_island_table(rows, fill, kinds, p)
         for block in (per, 10**9, max(1, min(per, pairs - 1))):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(exact, "_block_moves", lambda n_clients: block)
-                tables.append(self.real_table(rows, fill, kinds, p))
-        assert all(t.dtype == np.uint64 and np.array_equal(t, tables[0]) for t in tables), kinds
+                got = self.real_table(rows, fill, kinds, p)
+            assert got.dtype == np.uint64 and np.array_equal(got, want), (kinds, block)
         self.sides[pairs <= per] += 1
-        return tables[0]
+        return want
 
     def check(self, inst, sol, p) -> bool:
         """Both routes agree; True if `is_local_opt` took the island route.
@@ -440,9 +441,16 @@ class TestIslandTables:
         lay = gap.layout
         blues = (set(gap.local_solution.B) - {lay.right_local_blues[0]}) | {lay.middle_reference_blues[0][0]}
         sol = Solution(gap.local_solution.R, blues)
-        tables = []
-        real = exact._island_totals
+        tables, judged = [], []  # judged: per `_scan` call, the deltas its accept saw
+        real, real_scan = exact._island_totals, exact._scan
         monkeypatch.setattr(exact, "_island_totals", lambda *args: tables.append(real(*args)) or tables[-1])
+
+        def spy(*args, **kwargs):
+            seen, accept = [], args[5]
+            judged.append(seen)
+            return real_scan(*args[:5], lambda delta: seen.extend(delta.tolist()) or accept(delta), *args[6:], **kwargs)
+
+        monkeypatch.setattr(exact, "_scan", spy)
         verdict = is_local_opt(gap.instance, sol, 2)
         # the tables ran, and found a better move than the scan's first
         assert int(tables[0][0, 0, 2, 2]) - int(tables[0][0, 0, 0, 0]) == -4
@@ -451,6 +459,15 @@ class TestIslandTables:
             "locally_optimal": False, "moves_checked": 1391,
             "witness": {"close_red": [], "open_red": [], "close_blue": [62, 63],
                         "open_blue": [50, 75], "delta": -2}}
+        # the probe judged the first block, 1,143 moves, and the fallback scan
+        # the rest up to the witness's block, each move once: together they
+        # saw what one scan from move 0 sees
+        whole = []
+        total = evaluate(gap.instance, sol).total
+        real_scan(gap.instance, _client_rows(gap.instance), sol, total, _swap_sizes(gap.instance, 2),
+                  lambda delta: whole.extend(delta.tolist()) or delta < 0)
+        assert [len(seen) for seen in judged] == [1143, len(whole) - 1143]
+        assert judged[0] + judged[1] == whole
         # between the tables' 766 state pairs and the scan's 161,081 moves,
         # the cap refuses the scan, as it did before
         with pytest.raises(CapExceeded, match="^161081 neighborhood moves exceed the cap of 1000;") as e:
@@ -535,3 +552,56 @@ class TestProbe:
         assert verdict.method == "island tables" and verdict.moves_checked == 5_800_962_755
         assert planned == [((0, 1),)]
         assert _swap_sizes(gap.instance, 3)[0] == (0, 1) and _block_moves(len(gap.instance.clients)) == 313
+
+
+class TestCensus:
+    """`is_local_opt` against `census`, which judges every solution at once
+    and shares no pricing code with it, at the block size and at blocks of 1
+    and 6 moves, where the island tables are streamed and folded."""
+
+    @staticmethod
+    def agree(inst, p):
+        judged = census(inst, p)
+        for block in (None, 1, 6):
+            with pytest.MonkeyPatch.context() as m:
+                if block:
+                    m.setattr(exact, "_block_moves", lambda n_clients: block)
+                for sol, (total, local) in judged.items():
+                    assert is_local_opt(inst, sol, p).locally_optimal == local, (sol, block)
+        return judged
+
+    @pytest.mark.parametrize("ell, solutions", [(2, 120), (3, 420), (4, 1512)])
+    def test_family_members_have_two_local_optima(self, ell, solutions):
+        # every 1-swap local optimum of these members is the designated
+        # solution or the optimum, so the designated one is the worst;
+        # `is_local_opt` is checked on every solution up to (1,3), as three
+        # passes over (1,4)'s would take about 3 s
+        gap = build(GapParams(p=1, ell=ell))
+        judged = self.agree(gap.instance, 1) if ell < 4 else census(gap.instance, 1)
+        assert len(judged) == solutions
+        assert {sol for sol, (_, local) in judged.items() if local} == {gap.local_solution, gap.global_solution}
+        assert judged[gap.global_solution][0] == min(total for total, _ in judged.values())
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_seeded_island_instances(self, p):
+        rng = random.Random(0xCE5 + p)
+        for _ in range(6):
+            inst = island_instance(rng, rng.randint(2, 3))
+            judged = self.agree(inst, p)
+            assert all(total == evaluate(inst, sol).total for sol, (total, _) in judged.items())
+
+
+def test_island_tables_hold_no_side_whole():
+    # the (3, 12) right island has 39 open blues and 9,139 close sets of 3;
+    # its kept minima are built a block of close sets at a time, so a cold
+    # `is_local_opt` (empty plan cache) stays small
+    gap = build(GapParams(p=3, ell=12))
+    local_search._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        verdict = is_local_opt(gap.instance, gap.local_solution, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.method == "island tables"
+    assert peak < 4 * 2**20

@@ -220,6 +220,27 @@ def test_edge_cases(name, batch):
     check_against_oracle(inst, Solution(R=set(inst.red[: inst.k_r]), B=set(inst.blue[: inst.k_b])), p)
 
 
+def test_scan_from_a_first_move(batch):
+    # from move `start` on, the scan judges exactly the full scan's deltas
+    # from there, and picks as the full scan would among them
+    rng = random.Random(0x57A7)
+    for _ in range(12):
+        inst = random_sized_grid(rng, max_clients=7, max_per_colour=5)
+        sol, p = random_feasible(rng, inst), rng.randint(1, 2)
+        total, deltas = evaluate(inst, sol).total, kernel_deltas(inst, sol, p)
+        args = (inst, ls._client_rows(inst), sol, total, ls._swap_sizes(inst, p))
+        for start in sorted({0, 1, len(deltas) // 2, max(len(deltas) - 1, 0), rng.randrange(len(deltas) + 1)}):
+            seen = []
+            ls._scan(*args, lambda d: seen.extend(d.tolist()) or np.zeros(len(d), dtype=bool), start=start)
+            assert seen == deltas[start:]
+            best = ls._scan(*args, start=start)
+            if start < len(deltas):
+                low = min(deltas[start:])
+                assert best[0] == start + deltas[start:].index(low) and best[2] - total == low
+            else:
+                assert best is None
+
+
 def test_epsilon_test_is_exact_for_large_integers():
     # The bound is floor(A * (1 - Fraction(epsilon) / n)) for a current
     # cost A. At 2^55 float64 cannot tell one past the bound from the bound
