@@ -14,8 +14,12 @@ JSON formats (used by the CLI and the parse/serialize pair):
                "k_r": int, "k_b": int}
     solution: {"R": [ids], "B": [ids]}
 
-Integer distances are JSON integers; fractional ones are decimal strings
-so round-trips are exact.
+`serialize` writes integer distances as JSON integers and fractional ones
+as decimal strings, so round-trips are exact. orjson reads every document,
+JSON floats as floats; json reads only what orjson refuses (NaN, Infinity,
+1e400, a BOM, bad UTF-8, a lone surrogate, bad syntax), so each message is
+json's, and what holds 19 digits in a row, as orjson reads an integer
+outside [-2^63, 2^64) as a float. Values and types are json's either way.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import FormatError, InputError
 from .metric import MetricSpace, from_graph, from_matrix
@@ -242,12 +247,18 @@ def _int_list(doc: dict, key: str) -> list:
     return val
 
 
-def _load_object(data, what: str, parse_float=None) -> dict:
+def _load_object(data, what: str) -> dict:
+    """The JSON object in `data`, bytes or str, read as the module docstring says."""
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
-                         parse_float=parse_float)
-    except ValueError as e:  # bad JSON or bad UTF-8
-        raise FormatError(f"malformed {what}: {e}") from None
+        if b"0" * 19 in raw.translate(bytes.maketrans(b"123456789", b"0" * 9)):  # 19 digits in a row
+            raise ValueError
+        doc = orjson.loads(raw)
+    except ValueError:  # orjson's JSONDecodeError included: json decides
+        try:  # json takes the original str, which may hold a lone surrogate
+            doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise FormatError(f"malformed {what}: {e}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a JSON object")
     return doc
@@ -256,12 +267,9 @@ def _load_object(data, what: str, parse_float=None) -> dict:
 def parse(data) -> Instance:
     """Parse an instance document (bytes or str). Raises FormatError or
     InstanceError; both are input errors as far as callers are concerned.
-    Floats load as text, for `from_matrix` to convert only what it reads;
-    a failing document loads again with floats, so a message shows 3.5."""
-    try:
-        return _instance(_load_object(data, "instance document", parse_float=str))
-    except InputError:
-        return _instance(_load_object(data, "instance document"))
+    A matrix's JSON floats arrive as floats, its decimal strings as text;
+    the module docstring says when json reads the document, and why."""
+    return _instance(_load_object(data, "instance document"))
 
 
 def _instance(doc: dict) -> Instance:

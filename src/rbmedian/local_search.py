@@ -160,13 +160,13 @@ def _client_rows(inst: Instance):
     return rows, np.iinfo(rows.dtype).max if inst.space.integral else np.inf, at
 
 
-def _subset_minima(rows: np.ndarray, combos, fill) -> np.ndarray:
+def _subset_minima(rows: np.ndarray, combos, fill, out=None) -> np.ndarray:
     """Columnwise minimum of rows[c] per combination c, a running minimum
-    over c's members; `fill` where c is empty."""
+    over c's members, into `out`'s leading rows if given; `fill` if c is empty."""
     combos = np.asarray(combos, dtype=np.intp)
     if not combos.shape[1]:
         return np.full((len(combos), rows.shape[1]), fill)
-    out = rows.take(combos[:, 0], axis=0)
+    out = rows.take(combos[:, 0], axis=0, out=None if out is None else out[: len(combos)])
     for column in combos.T[1:]:
         np.minimum(out, rows.take(column, axis=0), out=out)
     return out
@@ -271,14 +271,14 @@ class _Colour:
         self.whole = None if open_after is None else _subset_minima(rows, at[open_after], fill)
         self.memo = {}
 
-    def minima(self, count: int, closed: bool):
-        """(first set, rows) per run of the close sets (closed) or open sets
-        of size `count`: the minimum over what each keeps, or opens."""
+    def minima(self, count: int, closed: bool, out=None):
+        """(first set, rows) per run of the close sets (closed) or open sets of
+        size `count`: the minimum over what each keeps, or opens, in `out` if not held."""
         key = count, closed
         if key not in self.held:
             runs = enumerate(_sets(0 if closed else self.k, self.k if closed else self.spare, count, self.per))
-            return ((i * self.per, _subset_minima(self.rows, self.at[_kept(self.k, run) if closed else run], self.fill))
-                    for i, run in runs)
+            return ((i * self.per, _subset_minima(self.rows, self.at[_kept(self.k, run) if closed else run],
+                                                  self.fill, out)) for i, run in runs)
         if key not in self.memo:
             self.memo[key] = [(0, _subset_minima(self.rows, self.at[self.held[key]], self.fill))]
         return self.memo[key]
@@ -339,9 +339,10 @@ def _price(red: _Colour, blue: _Colour, steps, per):
                     totals = np.minimum(r_rows[:, None], b_states[None]).sum(axis=-1).ravel()
                     yield g + j, starts, totals, (None, len(b_states), red.first[r] + r0, blue.first[b])
             continue
+        fold = np.empty((per, blue.rows.shape[1]), dtype=blue.rows.dtype)  # each run is built and folded here
         for r0, r_row in red.runs(r, 1):
-            for c0, kept in blue.minima(blue.sides[bs[0]][0], True):
-                folded = [(c0, np.minimum(kept, r_row))]
+            for c0, kept in blue.minima(blue.sides[bs[0]][0], True, fold):
+                folded = [(c0, np.minimum(kept, r_row, out=fold[: len(kept)]))]
                 for j, b in enumerate(bs):
                     for b0, new in blue.runs(b, per, folded):
                         yield g + j, starts, new.sum(axis=-1), (None, len(new), red.first[r] + r0, blue.first[b] + b0)

@@ -8,8 +8,8 @@ constructions in this package co-locate a client with a facility.
 Spaces come from one of two builders: `from_matrix` validates an explicit
 table, `from_graph` closes a weighted graph under shortest paths and fills
 cross-component pairs with a sentinel larger than any connected distance.
-Both decode their entries with `_decode` and relax with `_relax`. As the
-package reads only distances with a facility at one end, `from_matrix`
+Both decode their entries, ints, floats or decimal strings, with `_decode`.
+As the package reads only distances with a facility at one end, `from_matrix`
 decodes, checks and keeps only those: a client-to-client entry is checked
 for its JSON kind alone, and a bad value there does not exit 2.
 """
@@ -31,6 +31,8 @@ FLOAT_TOL = 1e-9
 
 # Integer entries stay below this, so any two of them add without leaving int64.
 INT_LIMIT = 2**62
+
+_TWO_HOP_ENTRIES = 1 << 15  # sums (k terms x entries checked) at once in a triangle check pass
 
 # Entry types a distance table may hold: the JSON numbers and decimal strings.
 _ENTRY_TYPES = {int, float, str}
@@ -126,14 +128,15 @@ def from_matrix(table, facilities=None) -> MetricSpace:
     """Validate a square distance table and wrap the rows of `facilities`,
     ids in 0..n-1 (every row when None), as a MetricSpace.
 
-    table is nested rows of ints, floats or decimal strings, the JSON
-    form, int64 only if every entry is an int. Every entry is checked for
-    its kind; only those with a facility at one end, which the package
-    reads, are decoded, as the rows d(f, ·) and their mirror d(·, f)
-    (decoded only where its text differs from d(f, x)'s), and checked for
-    finiteness, sign, the diagonal, symmetry and, as `_check_triangle`
-    says, the triangle inequality. Raises MetricError with witnessing
-    indices on the first failure found, row-major within a check.
+    table is nested rows of ints, floats or decimal strings, the JSON form
+    as `parse` reads it, int64 only if every entry is an int. Every entry
+    is checked for its kind; only those with a facility at one end, which
+    the package reads, are decoded, as the rows d(f, ·) and their mirror
+    d(·, f) (decoded only where its entry differs from d(f, x)'s), and
+    checked for finiteness, sign, the diagonal, symmetry and, as
+    `_check_triangle` says, the triangle inequality. Raises MetricError
+    with witnessing indices on the first failure found, row-major within
+    a check.
     """
     dtype = _kind(table)
     n = len(table)
@@ -186,14 +189,20 @@ def _check_triangle(rows: np.ndarray, fac: np.ndarray) -> None:
     client-client edge, so (1) bounds one between facilities, by induction
     over its inner facilities, and (2) one ending at a client, whose last
     hop leaves a facility. With every location a facility, (2) is empty
-    and (1) is the full check."""
+    and (1) is the full check. Each pass sums the k terms of its 2-hop
+    minimum in chunks of about _TWO_HOP_ENTRIES entries, reduced over k."""
     tau = 0.0 if rows.dtype == np.int64 else FLOAT_TOL
     every = np.arange(rows.shape[1])
     cli = np.delete(every, fac)
     ff, fc = rows[:, fac], rows[:, cli]
     for entries, col_ids, k_ids, a, b in ((ff, fac, every, rows.T, rows.T), (fc, cli, fac, ff, fc)):
         via = entries.copy()  # the k = f term equals the entry, so via is the 2-hop minimum
-        _relax(a, b, via)
+        per = max(1, _TWO_HOP_ENTRIES // max(entries.size, 1))  # k terms at a time
+        buf = np.empty((min(per, len(a)), *entries.shape), dtype=entries.dtype)
+        for k in range(0, len(a), per):
+            sums = np.add(a[k : k + per, :, None], b[k : k + per, None, :], out=buf[: len(a) - k])
+            low = np.minimum.reduce(sums, axis=0) if len(sums) > 1 else sums[0]  # one k needs no copy
+            np.minimum(via, low, out=via)
         allowed = via + tau * np.maximum(1.0, via) if tau else via
         bad = np.argwhere(entries > allowed)
         if len(bad):

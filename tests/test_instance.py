@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid, same_instance
 from oracle import scalar_evaluate
+from rbmedian.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from rbmedian.errors import InputError
 from rbmedian.instance import (
     FormatError,
     InfeasibleSolutionError,
     Instance,
     InstanceError,
     Solution,
+    _instance,
+    _load_object,
     disjointify,
     evaluate,
     gen_euclidean,
@@ -360,7 +365,6 @@ class TestSerialization:
         ('"red": [1]', '"red": [1.0]', "'red' must be a list of integers"),
     ], ids=["n", "n-string", "k_r", "k_b", "red"])
     def test_json_floats_outside_the_matrix_read_as_numbers(self, old, new, message):
-        # a matrix keeps its floats as text, yet a message shows a float as a number
         doc = ('{"n": 2, "metric": {"matrix": [[0, 1.5], [1.5, 0]]},'
                ' "clients": [0], "red": [1], "blue": [], "k_r": 1, "k_b": 0}')
         assert parse(doc).space.rows([1]).tolist() == [[1.5, 0.0]]
@@ -416,3 +420,171 @@ class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     def test_serialize_parse_identity(self, inst):
         assert same_instance(parse(serialize(inst)), inst)
+
+
+def json_route(data) -> Instance:
+    """`parse` by the standard library alone: json.loads, floats as floats,
+    every message json's. It is what `parse` made of every document before
+    orjson read them, and what it makes of those orjson refuses."""
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as e:
+        raise FormatError(f"malformed instance document: {e}") from None
+    if not isinstance(doc, dict):
+        raise FormatError("instance document must be a JSON object")
+    return _instance(doc)
+
+
+def parsed(read, data) -> tuple:
+    """What `read` makes of a document: the error's type and message, or
+    the space's dtype, ids and bytes with the roles and budgets."""
+    try:
+        inst = read(data)
+    except InputError as e:
+        return type(e).__name__, str(e)
+    return ("ok", *space_of(inst), inst.clients, inst.red, inst.blue, inst.k_r, inst.k_b)
+
+
+def space_of(inst) -> tuple:
+    return str(inst.space.dist.dtype), inst.space.ids.tolist(), inst.space.dist.tobytes()
+
+
+def typed(x):
+    """A JSON value with each scalar tagged by its type, a float by its
+    bits, so that 1 and 1.0, or 0.0 and -0.0, compare unequal."""
+    if isinstance(x, dict):
+        return {key: typed(v) for key, v in x.items()}
+    if isinstance(x, list):
+        return [typed(v) for v in x]
+    return ("float", x.hex()) if type(x) is float else (type(x).__name__, x)
+
+
+LINE_FLOATS = [[0, 1.5, 0.5, 2.5], [1.5, 0, 1.0, 1.0], [0.5, 1.0, 0, 2.0], [2.5, 1.0, 2.0, 0]]
+LINE_INTS = [[0, 3, 1, 5], [3, 0, 2, 2], [1, 2, 0, 4], [5, 2, 4, 0]]
+
+
+def line_doc(matrix=LINE_INTS, at=None, text=None, metric=None, **over) -> str:
+    """A 4-location document (clients 0 and 1, red 2, blue 3, k 1/1), with
+    the literal `text` written at both (i, j) and (j, i) for at=(i, j), or
+    with the metric object's text `metric`."""
+    rows = [list(map(json.dumps, row)) for row in matrix]
+    if at:
+        i, j = at
+        rows[i][j] = rows[j][i] = text
+    doc = {"n": 4, "metric": "@", "clients": [0, 1], "red": [2], "blue": [3], "k_r": 1, "k_b": 1, **over}
+    table = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+    return json.dumps(doc).replace('"@"', metric or '{"matrix": %s}' % table)
+
+
+def edge_doc(length: str) -> str:
+    return line_doc(metric='{"graph": {"edges": [[0, 2, 1], [1, 2, 2], [2, 3, %s]]}}' % length)
+
+
+OK_INT, OK_FLOAT = ("ok", "int64"), ("ok", "float64")
+NOT_OBJECT = ("FormatError", "instance document must be a JSON object")
+LOADER_CASES = {
+    **{f"{lit}-facility-row": (line_doc(LINE_FLOATS, (0, 2), lit),
+                               ("MetricError", f"non-finite distance {value} at (0, 2)"))
+       for lit, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"))},
+    **{f"{lit}-client-client": (line_doc(LINE_FLOATS, (0, 1), lit), OK_FLOAT)
+       for lit in ("NaN", "Infinity", "1e400")},
+    **{f"{big}-{where}": case for big in ("18446744073709551616", "-9223372036854775809") for where, case in (
+        ("client-client", (line_doc(at=(0, 1), text=big), OK_INT)),
+        ("edge", (edge_doc(big), ("FormatError", f"integer distance {big} does not fit int64"))),
+        ("id", (line_doc(red=[2, int(big)]), ("MetricError", f"facility ids [{big}] are outside 0..3"))),
+    )},
+    "2^64-n": (line_doc(n=2**64), ("FormatError", f"metric matrix must be {2**64}x{2**64}")),
+    "-2^63-1-n": (line_doc(n=-2**63 - 1), ("FormatError", f"'n' must be a nonnegative integer, got {-2**63 - 1}")),
+    "lone-surrogate-escape": (line_doc(note="\ud800"), OK_INT),
+    "bom": (b"\xef\xbb\xbf" + line_doc().encode(), (
+        "FormatError", "malformed instance document: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                       "line 1 column 1 (char 0)")),
+    "invalid-utf8": (line_doc().encode().replace(b"{", b'{"note": "\xff", ', 1), (
+        "FormatError", "malformed instance document: 'utf-8' codec can't decode byte 0xff in position 10: "
+                       "invalid start byte")),
+    "raw-lone-surrogate-str": (line_doc().replace("{", '{"note": "\ud800", ', 1), OK_INT),
+    "top-list": ("[" + line_doc() + "]", NOT_OBJECT),
+    "top-int": ("7", NOT_OBJECT),
+    "top-string": ('"{}"', NOT_OBJECT),
+    "duplicate-keys": (line_doc().replace("{", '{"k_r": 7, "n": 9, ', 1), OK_INT),
+}
+
+
+def json_documents():
+    """JSON object text: integers across and beyond 64 bits, floats written
+    by repr, %.17e and %.25g, zeros of both signs, decimal strings and
+    escaped unicode, nested in lists and objects."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    scalars = st.one_of(
+        st.integers(-2**70, 2**70).map(str),
+        st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**18, 10**19]).map(str),
+        st.tuples(st.sampled_from(["%r", "%.17e", "%.25g"]), floats).map(lambda f: f[0] % f[1]),
+        st.sampled_from(["-0.0", "0.0", "-0", "-0e0", "0E-5", "-0.000"]),
+        st.tuples(st.integers(-10**40, 10**40), st.integers(0, 10**40)).map(lambda d: json.dumps("%d.%d" % d)),
+        st.text(max_size=8).map(json.dumps),  # escaped: json.dumps writes ASCII
+        st.sampled_from(["true", "false", "null"]),
+    )
+    keys = st.text(max_size=5).map(json.dumps)
+
+    def obj(inner):
+        return st.lists(st.tuples(keys, inner), max_size=5).map(
+            lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}")
+
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=5).map(
+        lambda xs: "[" + ", ".join(xs) + "]") | obj(inner), max_leaves=12)
+    return obj(values)
+
+
+def planted_entry_doc(rng, n_clients, n_red, n_blue, k, box, close=None) -> bytes:
+    """A perfbench-shaped document: points uniform in a box and their
+    Euclidean distances written as raw JSON floats; with `close`, point 1
+    sits at that offset from point 0."""
+    n = n_clients + n_red + n_blue
+    pts = rng.uniform(0.0, box, size=(n, 2))
+    if close is not None:
+        pts[1] = pts[0] + close
+    diff = pts[:, None, :] - pts[None, :, :]
+    return json.dumps({"n": n, "metric": {"matrix": np.sqrt((diff * diff).sum(axis=2)).tolist()},
+                       "clients": list(range(n_clients)), "red": list(range(n_clients, n_clients + n_red)),
+                       "blue": list(range(n_clients + n_red, n)), "k_r": k, "k_b": k}).encode()
+
+
+class TestLoader:
+    """Every document is read by orjson, and json reads what orjson refuses
+    or could misread (a run of 19 digits); either way `parse` makes of it
+    what the json route makes, message for message and bit for bit."""
+
+    @given(json_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_reads_as_json_reads(self, text):
+        want = typed(json.loads(text))
+        assert typed(_load_object(text, "document")) == want
+        assert typed(_load_object(text.encode(), "document")) == want
+
+    @pytest.mark.parametrize("data, want", LOADER_CASES.values(), ids=LOADER_CASES)
+    def test_fixed_cases_keep_their_message_and_exit_code(self, data, want, tmp_path, capsys):
+        got = parsed(parse, data)
+        assert got == parsed(json_route, data)
+        assert got[:2] == want
+        if isinstance(data, str) and "\ud800" in data:
+            return  # a raw lone surrogate has no UTF-8 file form
+        path = tmp_path / "instance.json"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        assert main(["solve", str(path)]) == (EXIT_OK if want[0] == "ok" else EXIT_INPUT_ERROR)
+        capsys.readouterr()
+
+    def test_documents_make_the_json_routes_space(self, tmp_path):
+        rng = np.random.default_rng(160)
+        docs = [planted_entry_doc(rng, 120, 20, 20, 4, 100.0), planted_entry_doc(rng, 60, 10, 10, 3, 100.0)]
+        for p, ell in ((1, 10), (2, 6), (1, 20)):
+            out = tmp_path / f"g{p}-{ell}"
+            assert main(["gengap", "--p", str(p), "--ell", str(ell), "--out", str(out)]) == EXIT_OK
+            docs.append((out / "instance.json").read_bytes())
+        docs += [serialize(gen_euclidean(8, 4, 4, 2, 2, box_size=box, seed=seed))
+                 for seed, box in enumerate((1.0, 3.0, 100.0, 1e-3, 1e6))]
+        unit_box = planted_entry_doc(rng, 20, 5, 5, 1, 1.0, close=(3e-4, 2e-4))
+        assert re.search(rb"\b0\.000\d{16}", unit_box)  # an entry in [1e-4, 1e-3): 20 digits, json's route
+        for data in docs + [unit_box]:
+            want = space_of(json_route(data))
+            assert space_of(parse(data)) == want
+            assert space_of(parse(data.decode())) == want

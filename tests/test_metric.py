@@ -3,21 +3,24 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import grid_instance
-from oracle import (reference_decode, reference_facility_check, reference_from_matrix,
+from oracle import (_reference_check_triangle, reference_decode, reference_facility_check, reference_from_matrix,
                     reference_triangle, violating_pairs)
 from rbmedian.exact import brute_force_opt, is_local_opt
 from rbmedian.instance import FormatError, Instance, Solution, gen_euclidean, parse, serialize
+from rbmedian import metric
 from rbmedian.local_search import SearchConfig, run
 from rbmedian.metric import (
     FLOAT_TOL,
     MetricError,
     MetricSpace,
+    _check_triangle,
     _decode,
     _kind,
     from_graph,
@@ -496,6 +499,38 @@ class TestFacilityRows:
                 outcomes.append((str(e), e.witness))
         assert outcomes[0] == outcomes[1]
         assert (outcomes[0] is None) == (reference_triangle(dist, slack(dist)) is None)
+
+
+class TestTwoHopChunks:
+    """`_check_triangle` takes each pass's 2-hop minimum over chunks of k;
+    one k per chunk and every k in one chunk decide, word for word and
+    witness for witness, as the k-by-k loop of the reference does."""
+
+    @pytest.mark.parametrize("entries", [1, 10**9], ids=["one-k", "all-k"])
+    @pytest.mark.parametrize("floats", [False, True])
+    def test_chunks_match_the_reference_loop(self, monkeypatch, entries, floats):
+        monkeypatch.setattr(metric, "_TWO_HOP_ENTRIES", entries)
+        rng = random.Random(0x2C0 + floats)
+        verdicts = Counter()
+        for _ in range(300):
+            dist, facilities = planted_roles_table(rng, floats)
+            is_facility = np.zeros(len(dist), dtype=bool)
+            is_facility[facilities] = True
+            fac = np.flatnonzero(is_facility)
+            got, want = (raised(check, *args) for check, args in (
+                (_check_triangle, (dist[fac], fac)), (_reference_check_triangle, (dist, is_facility))))
+            assert got == want
+            verdicts[got is None] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+
+
+def raised(check, *args):
+    """The message and witness of the MetricError `check` raises, or None."""
+    try:
+        check(*args)
+    except MetricError as e:
+        return str(e), e.witness
+    return None
 
 
 def outcome(build, table, facilities):
