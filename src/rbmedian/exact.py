@@ -1,13 +1,13 @@
 """Exact oracles: a lower bound, the global optimum and local optimality.
 
-A solution that costs `lower_bound` is optimal, with no search. The two
-scans, and `is_local_opt`'s island tables, refuse work beyond a cap
-instead of running forever; the swap scan's plan and pricer price the
-tables too. The optimum scan ranks red and blue subsets in lexicographic
-order and keeps the pair of least (cost, red rank, blue rank), so among
-all optimal solutions the lexicographically least (R, then B, by sorted
-facility ids) is returned. Integer metrics are summed in int64, so the
-choice is exact; the reported cost is `evaluate`'s total for it.
+A solution that costs `lower_bound` is optimal, with no search. The
+optimum, the local-optimality scan and its island tables are all the swap
+scan's plan and pricer, and each refuses work beyond a cap instead of
+running forever. The optimum is the scan from the empty solution, whose
+order is (red subset rank, blue subset rank), so among all optimal
+solutions the lexicographically least (R, then B, by sorted facility ids)
+is returned. Integer metrics are summed in int64, so the choice is exact;
+the reported cost is `evaluate`'s total for it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, product
 from math import comb, inf, prod
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapExceeded
 from .instance import Instance, Solution, evaluate
 from .local_search import (_BLOCK_ENTRIES, ConfigError, SwapMove, _block_moves, _client_rows, _Colour, _plan, _price,
-                           _scan, _size_moves, _subset_minima, _swap_sizes)
+                           _scan, _size_moves, _swap_sizes, apply_move)
 
 DEFAULT_CAP = 10**8
 
@@ -84,38 +84,16 @@ def lower_bound(inst: Instance):
 def brute_force_opt(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
     """Scan every feasible (R, B) pair; refuse if there are more than cap.
 
-    Blue subsets go in chunks of `width`, at most a block's worth
-    (`_block_moves`), each chunk's per-client minima computed once; against
-    each chunk, red subsets go in chunks that fill the block. A colour with
-    budget 0 has one empty subset, whose minima are the fill value, so it
-    never wins a client.
+    From the empty solution, the side pair "open k_r reds and k_b blues,
+    close none" lists every pair in (red subset rank, blue subset rank)
+    order, so `_scan`'s best rule keeps the least (cost, red rank, blue
+    rank); a colour of budget 0 opens the empty set, which keeps the fill.
     """
-    n_red = comb(len(inst.red), inst.k_r)
-    n_blue = comb(len(inst.blue), inst.k_b)
-    pairs = n_red * n_blue
+    pairs = comb(len(inst.red), inst.k_r) * comb(len(inst.blue), inst.k_b)
     _refuse_over_cap(pairs, "candidate solutions", cap, "brute force")
-
-    rows, fill, _ = _client_rows(inst)  # rows of inst.red, then of inst.blue
-    ids = inst.red + inst.blue
-    per = _block_moves(len(inst.clients))
-    width = min(n_blue, per)
-    step = per // width
-    blue_combos = combinations(range(len(inst.red), len(ids)), inst.k_b)
-    best = None  # ((cost, red rank, blue rank), red subset, blue subset)
-    for b_lo in range(0, n_blue, width):
-        blues = list(islice(blue_combos, width))
-        b_min = _subset_minima(rows, blues, fill)
-        red_combos = combinations(range(len(inst.red)), inst.k_r)
-        for r_lo in range(0, n_red, step):
-            reds = list(islice(red_combos, step))
-            totals = np.minimum(_subset_minima(rows, reds, fill)[:, None, :], b_min).sum(axis=-1)
-            i_r, i_b = divmod(int(totals.argmin()), len(blues))
-            key = (totals[i_r, i_b], r_lo + i_r, b_lo + i_b)
-            if best is None or key < best[0]:
-                best = (key, reds[i_r], blues[i_b])
-
-    solution = Solution(*(frozenset(ids[x] for x in subset) for subset in best[1:]))
-    return OptResult(solution, evaluate(inst, solution).total, pairs)
+    empty = Solution(frozenset(), frozenset())
+    _, move, cost = _scan(inst, _client_rows(inst), empty, 0, (((0, inst.k_r), (0, inst.k_b)),))
+    return OptResult(apply_move(empty, move), cost, pairs)
 
 
 def _reach(n: int, p: int) -> int:  # subsets of at most p of n facilities
@@ -130,12 +108,12 @@ def _island_table(rows, fill, kinds, p: int) -> np.ndarray:
     against every blue side, all (close, open) count pairs up to p."""
     per, table, reach = _block_moves(rows.shape[1]), np.full((p + 1,) * 4, _NONE), [min(p, n) + 1 for n in kinds]
     groups = tuple(product(*(tuple(product(range(reach[c]), range(reach[c + 1]))) for c in (0, 2))))
-    *plan, steps, _ = _plan(tuple(kinds[:2]), tuple(kinds[2:]), groups, per)
+    *plan, steps, _, _ = _plan(tuple(kinds[:2]), tuple(kinds[2:]), groups, per)
     padded = np.vstack((rows, np.full(rows.shape[1], fill)))  # a fill row, each colour's pad position
     red, blue = (_Colour(padded, fill, np.r_[own, len(rows)], colour, per)
                  for own, colour in zip(np.split(np.arange(len(rows)), [kinds[0] + kinds[1]]), plan))
     least = np.full(len(groups), np.iinfo(np.int64).max)
-    for g, starts, totals, _ in _price(red, blue, steps, per):
+    for g, starts, totals, _ in _price(red, blue, steps, per, False):
         end = g + len(starts)
         least[g:end] = np.minimum(least[g:end], np.minimum.reduceat(totals, starts))
     table[tuple(map(slice, reach))] = least.reshape(reach)  # groups run over the count tuples in C order

@@ -9,23 +9,26 @@ this module (best-improvement tie-breaks, first-improvement selection,
 witness reporting) is stated against that order, which `_plan` alone
 defines.
 
-One plan and one pricer serve this scan and `exact`'s island tables. A
-plan (`_plan`, cached per shape) lays out groups of (close count, open
-count) sides of each colour on positions: a colour's open ids ascending,
-then its spare ids. A scan plans the sides (a, a) and (b, b) of its swap
-sizes; an island plans every pair up to p. `_price` yields a plan's blocks
-in order, runs of about _BLOCK_ENTRIES (moves x clients) entries so that
-the working arrays stay in cache. A move's new distances are the
-columnwise minimum of its red and blue states, what each colour leaves
-open. Groups whose red states against all blue states fit a block are one
-product of whole state tables; other groups are priced from minima over
-what each close set keeps and over each open set, built a block of sets at
-a time, and a blue side too large for a block has each red state folded
-into its close-set minima. A move's new total sums its new distances over
-one contiguous client row, as `evaluate` sums a solution's, so the priced
-total is `evaluate`'s; integer metrics stay in int64, so deltas are exact.
-`run` evaluates only its starting solution and then carries each accepted
-move's priced total.
+One plan and one pricer serve this scan, `exact`'s island tables and its
+brute force. A plan (`_plan`, cached per shape) lays out groups of (close
+count, open count) sides of each colour on positions: a colour's open ids
+ascending, then its spare ids. A scan plans the sides (a, a) and (b, b) of
+its swap sizes, an island every pair up to p, and the brute force the one
+pair ((0, k_r), (0, k_b)) from the empty solution. `_price` yields a
+plan's blocks of about _BLOCK_ENTRIES (moves x clients) entries, so that
+the working arrays stay in cache, each with its canonical index. A move's
+new distances are the columnwise minimum of its red and blue states, what
+each colour leaves open. Groups whose red states against all blue states
+fit a block are one product of whole state tables; other groups are
+priced from each count's minima over what a close set keeps and over each
+open set, built once where they fit a block, else a block at a time. A
+blue side too large for a block has red states folded into its close-set
+minima: one at a time in canonical order for a first-improvement scan, in
+runs for the best rule and the island tables. A move's new total sums its
+new distances over one contiguous client row, as `evaluate` sums a
+solution's, so the priced total is `evaluate`'s; integer metrics stay in
+int64, so deltas are exact. `run` evaluates only its starting solution
+and then carries each accepted move's priced total.
 
 With epsilon > 0 a move is accepted only if it cuts cost by a relative
 (epsilon / n) factor, which bounds the number of iterations; epsilon = 0
@@ -52,8 +55,7 @@ TERMINATION_ITERATION_CAP = "iteration-cap"
 
 # Entries (moves or subsets x clients) in one working array: 384 KB at 8
 # bytes, so blocks stay in cache. That is 409 moves at 120 clients and
-# 1,585-2,137 subset pairs on the (2,4) and (1,10) families, whose brute
-# force runs as fast as at the fixed 2,048 it used before (2-CPU host).
+# 1,585-2,137 subset pairs on the (2,4) and (1,10) families.
 _BLOCK_ENTRIES = 3 << 14
 
 
@@ -206,15 +208,15 @@ def _plan(red: tuple, blue: tuple, groups: tuple, per: int) -> tuple:
     its states are its (close set, open set) pairs, lexicographic, in C
     order. Groups run in order, red state major: a scan's canonical order.
 
-    Returns (red, blue, steps, each step's first move, then the count). A
-    colour is (open count, spare count, sides ascending, each side's first
-    state, then the count, the positions each close set keeps and each
-    open set per count of at most `per` sets, and, for whole tables, what
-    each state leaves open, padded with position open + spare). A step is
-    (first group, step, order, group starts): groups whose red states
-    against all blue states fit a block, as ((first red state, end), their
-    moves' positions among those states against all blue ones, each
-    group's first move there); or groups of one red side whose blue sides
+    Returns (red, blue, steps, each group's first move and then the count,
+    each group's sides). A colour is (open count, spare count, sides
+    ascending, each side's first state, then the count, the positions each
+    close set keeps and each open set per count of at most `per` sets, and,
+    for whole tables, what each state leaves open, padded with position open +
+    spare). A step is (first group, step, order, group starts): groups whose
+    red states against all blue states fit a block, as ((first red state,
+    end), their moves' positions among those states against all blue ones,
+    each group's first move there); or groups of one red side whose blue sides
     share a close count, as ((red side, blue sides), None, [0]).
     """
     groups = [tuple(side if isinstance(side, tuple) else (side, side) for side in group) for group in groups]
@@ -256,8 +258,7 @@ def _plan(red: tuple, blue: tuple, groups: tuple, per: int) -> tuple:
             table[..., k - c : k - c + o] = opens
             tables.append(table.reshape(len(kept) * len(opens), width))
         colour[-1] = np.concatenate(tables)
-    firsts = list(accumulate(moves, initial=0))
-    return (*map(tuple, colours), tuple(steps), tuple(firsts[i] for i, *_ in steps) + (firsts[-1],))
+    return (*map(tuple, colours), tuple(steps), tuple(accumulate(moves, initial=0)), tuple(pairs))
 
 
 class _Colour:
@@ -284,52 +285,51 @@ class _Colour:
         return self.memo[key]
 
     def states(self, i):
-        """Side i's state table, which fits a block."""
+        """Side i's state table, which fits a block, from its counts' minima."""
         if self.whole is not None:
             return self.whole[self.first[i] : self.first[i + 1]]
         if i not in self.memo:
             c, o = self.sides[i]
-            self.memo[i] = _states(_subset_minima(self.rows, self.at[self.held[c, True]], self.fill),
-                                   _subset_minima(self.rows, self.at[self.held[o, False]], self.fill))
+            added = self.minima(o, False)[0][1]
+            self.memo[i] = added if c == self.k else _states(self.minima(c, True)[0][1], added)  # c = k keeps the fill
         return self.memo[i]
 
-    def runs(self, i, per, kept=None):
-        """(first state, rows) per run of at most `per` states of side i, C
-        order; `kept`, runs of close-set minima, replaces the side's own."""
-        if kept is None and self.first[i + 1] - self.first[i] <= self.per:
+    def runs(self, i, per):
+        """(first state, rows) per run of at most `per` states of side i, C order."""
+        if self.first[i + 1] - self.first[i] <= self.per:
             states = self.states(i)
             for lo in range(0, len(states), per):
                 yield lo, states[lo : lo + per]
             return
         n_open = math.comb(self.spare, self.sides[i][1])
         step = max(per // n_open, 1)
-        for c0, run in kept or self.minima(self.sides[i][0], True):
+        for c0, run in self.minima(self.sides[i][0], True):
             for c in range(0, len(run), step):
                 for o0, added in self.minima(self.sides[i][1], False):
                     for lo in range(0, len(added), per):
                         yield (c0 + c) * n_open + o0 + lo, _states(run[c : c + step], added[lo : lo + per])
 
-    def pick(self, state, ids):
-        """State number `state` as (close set, open set) tuples of `ids`."""
-        i = bisect_right(self.first, state) - 1
+    def pick(self, i, state, ids):
+        """State number `state` of side i as (close set, open set) tuples of `ids`."""
         (c, o), k = self.sides[i], self.k
-        close, opened = divmod(state - self.first[i], math.comb(self.spare, o))
+        close, opened = divmod(state, math.comb(self.spare, o))
         return (tuple(map(ids.__getitem__, _nth(0, k, c, close))),
                 tuple(map(ids.__getitem__, _nth(k, self.spare, o, opened))))
 
 
-def _price(red: _Colour, blue: _Colour, steps, per):
-    """Yield each block of `steps` in order as (first group, group starts,
-    totals, (order, width, r0, b0)): its moves' new totals in canonical
-    order, groups from the first on starting at `starts`; totals[q] is red
-    state r0 + i // width against blue state b0 + i % width, i = order[q],
-    or q where order is None. A blue side too large for a block is never
-    built: each red state is folded into its close-set minima instead, and
-    the step's groups take turns on each run (a scan's steps have one)."""
+def _price(red: _Colour, blue: _Colour, steps, per, ordered: bool):
+    """Yield each block of `steps` as (first group, group starts, totals,
+    offset): its moves' new totals in canonical order, groups from the
+    first on starting at `starts`, its first move `offset` after its
+    group's first; blocks in canonical order if `ordered`. A blue side too
+    large for a block is never built: red states are folded into its
+    close-set minima, one at a time if `ordered`, else in runs that fold
+    with a run of close sets into a block, each run of open-set minima
+    built once per fold; the step's groups take turns on each fold."""
     for g, step, order, starts in steps:
         if order is not None:
             new = np.minimum(red.whole[slice(*step), None], blue.whole[None])
-            yield g, starts, new.sum(axis=-1).ravel().take(order), (order, len(blue.whole), step[0], 0)
+            yield g, starts, new.sum(axis=-1).ravel().take(order), 0
             continue
         r, bs = step
         if all(blue.first[b + 1] - blue.first[b] <= per for b in bs):
@@ -337,56 +337,68 @@ def _price(red: _Colour, blue: _Colour, steps, per):
                 b_states = blue.states(b)
                 for r0, r_rows in red.runs(r, per // len(b_states)):
                     totals = np.minimum(r_rows[:, None], b_states[None]).sum(axis=-1).ravel()
-                    yield g + j, starts, totals, (None, len(b_states), red.first[r] + r0, blue.first[b])
+                    yield g + j, starts, totals, r0 * len(b_states)
             continue
-        fold = np.empty((per, blue.rows.shape[1]), dtype=blue.rows.dtype)  # each run is built and folded here
-        for r0, r_row in red.runs(r, 1):
-            for c0, kept in blue.minima(blue.sides[bs[0]][0], True, fold):
-                folded = [(c0, np.minimum(kept, r_row, out=fold[: len(kept)]))]
-                for j, b in enumerate(bs):
-                    for b0, new in blue.runs(b, per, folded):
-                        yield g + j, starts, new.sum(axis=-1), (None, len(new), red.first[r] + r0, blue.first[b] + b0)
+        c = blue.sides[bs[0]][0]
+        n_close = math.comb(blue.k, c)
+        out = None if (c, True) in blue.held else np.empty((per, blue.rows.shape[1]), dtype=blue.rows.dtype)
+        for r0, r_rows in red.runs(r, 1 if ordered else max(1, per // n_close)):
+            for c0, kept in blue.minima(c, True, out):  # streamed close sets are built into `out`, folded there
+                folded = np.minimum(r_rows[:, None], kept, out=None if out is None else kept[None])
+                for j, o in enumerate(blue.sides[b][1] for b in bs):
+                    n_open = math.comb(blue.spare, o)
+                    sets = max(per // n_open, 1)  # close sets a block
+                    rows = [(t, lo) for t in range(len(folded)) for lo in range(0, len(kept), sets)]
+                    blocks = (((row, run) for row in rows for run in blue.minima(o, False)) if ordered else
+                              ((row, run) for run in blue.minima(o, False) for row in rows))
+                    for (t, lo), (o0, added) in blocks:
+                        yield (g + j, starts, _states(folded[t, lo : lo + sets], added).sum(axis=-1),
+                               ((r0 + t) * n_close + c0 + lo) * n_open + o0)
 
 
 def _scan(inst: Instance, client_rows, sol: Solution, total, sizes: tuple, accept=None, stop=None, start=0):
-    """Price the moves of swap sizes `sizes` from `sol`, which costs
-    `total`, in canonical order from move `start` on; `client_rows` is
-    `_client_rows(inst)`. A move's new total is the one `evaluate` gives
-    the solution after it, bit for bit, and its delta that minus `total`.
-    `accept` maps an array of deltas to a boolean mask. With it, the first
-    move that passes is returned; without it, the move of least new total,
-    ties to the lowest index; with `stop`, among the moves before move
-    `stop`. Returns (canonical index, move, new total), or None."""
+    """Price the moves of swap sizes `sizes`, or (red side, blue side)
+    pairs, from `sol`, which costs `total`, from canonical move `start` on
+    (before move `stop`, if given, in order); `client_rows` is
+    `_client_rows(inst)`. A move's new total is `evaluate`'s after it, bit
+    for bit, and its delta that minus `total`. `accept` maps deltas to a
+    boolean mask; with it, blocks go in canonical order and the first move
+    that passes is returned, else the move of least (new total, canonical
+    index). Returns (canonical index, move, new total), or None."""
     rows, fill, at = client_rows
     per = _block_moves(rows.shape[1])
     colours = ((sol.R, inst.red), (sol.B, inst.blue))
     ids = [sorted(chosen) + [f for f in pool if f not in chosen] for chosen, pool in colours]
-    *plan, steps, firsts = _plan(*((len(chosen), len(pool) - len(chosen)) for chosen, pool in colours), sizes, per)
+    *plan, steps, firsts, pairs = _plan(*((len(c), len(pool) - len(c)) for c, pool in colours), sizes, per)
     red, blue = (_Colour(rows, fill, at[np.array(own, dtype=np.intp)], colour, per) for own, colour in zip(ids, plan))
-    s = bisect_right(firsts, start) - 1
-    best, done = None, firsts[s]  # best: (canonical index, new total, red state, blue state)
-    for _, _, totals, (order, width, r0, b0) in _price(red, blue, steps[s:], per):
-        lo, done = done, done + len(totals)
-        if done <= start:
+    s = bisect_right([firsts[g] for g, *_ in steps], start) - 1
+    best = None  # (new total, canonical index)
+    for g, _, totals, offset in _price(red, blue, steps[s:], per, accept is not None or stop is not None):
+        lo = firsts[g] + offset
+        end = lo + len(totals)
+        if end <= start:
             continue
         cut = max(start - lo, 0)
         totals = totals[cut : None if stop is None else stop - lo]
         if accept is None:
             q = int(totals.argmin())
-            hit = best is None or totals[q] < best[1]
+            hit = best is None or (totals[q], lo + cut + q) < best
         else:
             hits = accept(totals - total)
             q = int(hits.argmax())
             hit = bool(hits[q])
         if hit:
-            i = q + cut if order is None else int(order[q + cut])
-            best = (lo + cut + q, totals[q], r0 + i // width, b0 + i % width)
-        if hit and accept is not None or stop is not None and done >= stop:
+            best = totals[q], lo + cut + q
+        if hit and accept is not None or stop is not None and end >= stop:
             break
     if best is None:
         return None
-    index, new_total, r, b = best
-    return index, SwapMove(*red.pick(r, ids[0]), *blue.pick(b, ids[1])), new_total.item()
+    new_total, index = best
+    g = bisect_right(firsts, index) - 1
+    r, b = pairs[g]
+    r_state, b_state = divmod(index - firsts[g], blue.first[b + 1] - blue.first[b])
+    move = SwapMove(*red.pick(r, r_state, ids[0]), *blue.pick(b, b_state, ids[1]))
+    return index, move, new_total.item() if rows.shape[1] else 0  # as `evaluate` sums no clients
 
 
 def _random_solution(inst: Instance, seed: int) -> Solution:

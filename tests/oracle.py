@@ -24,6 +24,11 @@ replaced the class-driven fallback cascade.
 swap scan's plan and pricer served the islands too: one product of whole
 padded state tables where an island fits a block, else streamed
 `_colour_sides`, red states built again for each run of blue ones.
+`reference_brute_force` is the optimum scan `exact` used before the
+brute force became the swap scan from the empty solution: blue subsets
+in chunks of a block's worth, each chunk's minima built once, against
+red subsets in chunks that fill the block, keyed on (cost, red rank,
+blue rank).
 `census` judges every feasible solution of a small instance at once,
 from subset bitmasks and the facility rows, sharing no pricing code with
 the package.
@@ -35,14 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, product
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
 from rbmedian.decomposition import BLUE, RED, FacilityClass, GroupKind
 from rbmedian.errors import InternalInvariantError
 from rbmedian.instance import Assignment, Instance, Solution, check_feasible, evaluate
-from rbmedian.exact import _NONE, _reach
+from rbmedian.exact import _NONE, DEFAULT_CAP, OptResult, _reach, _refuse_over_cap
 from rbmedian.local_search import SwapMove, _block_moves, _client_rows, _scan, _states, _subset_minima, _swap_sizes
 from rbmedian.metric import FLOAT_TOL, INT_LIMIT, MetricError, MetricSpace, _decode, _kind, _relax
 
@@ -243,6 +248,43 @@ def reference_island_table(rows, fill, kinds, p: int) -> np.ndarray:
     table[(*r_counts[..., None], *b_counts[:, None])] = np.minimum.reduceat(
         np.minimum.reduceat(totals, r_starts, axis=0), b_starts, axis=1)
     return table
+
+
+def reference_brute_force(inst: Instance, cap: int = DEFAULT_CAP) -> OptResult:
+    """Scan every feasible (R, B) pair; refuse if there are more than cap.
+
+    Blue subsets go in chunks of `width`, at most a block's worth
+    (`_block_moves`), each chunk's per-client minima computed once; against
+    each chunk, red subsets go in chunks that fill the block. A colour with
+    budget 0 has one empty subset, whose minima are the fill value, so it
+    never wins a client.
+    """
+    n_red = comb(len(inst.red), inst.k_r)
+    n_blue = comb(len(inst.blue), inst.k_b)
+    pairs = n_red * n_blue
+    _refuse_over_cap(pairs, "candidate solutions", cap, "brute force")
+
+    rows, fill, _ = _client_rows(inst)  # rows of inst.red, then of inst.blue
+    ids = inst.red + inst.blue
+    per = _block_moves(len(inst.clients))
+    width = min(n_blue, per)
+    step = per // width
+    blue_combos = combinations(range(len(inst.red), len(ids)), inst.k_b)
+    best = None  # ((cost, red rank, blue rank), red subset, blue subset)
+    for b_lo in range(0, n_blue, width):
+        blues = list(islice(blue_combos, width))
+        b_min = _subset_minima(rows, blues, fill)
+        red_combos = combinations(range(len(inst.red)), inst.k_r)
+        for r_lo in range(0, n_red, step):
+            reds = list(islice(red_combos, step))
+            totals = np.minimum(_subset_minima(rows, reds, fill)[:, None, :], b_min).sum(axis=-1)
+            i_r, i_b = divmod(int(totals.argmin()), len(blues))
+            key = (totals[i_r, i_b], r_lo + i_r, b_lo + i_b)
+            if best is None or key < best[0]:
+                best = (key, reds[i_r], blues[i_b])
+
+    solution = Solution(*(frozenset(ids[x] for x in subset) for subset in best[1:]))
+    return OptResult(solution, evaluate(inst, solution).total, pairs)
 
 
 def census(inst: Instance, p: int) -> dict:

@@ -1,5 +1,6 @@
 """Exact oracles: the lower bound, the brute-force optimum and local-optimality verdicts."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import rbmedian.exact as exact
 from conftest import grid_instance, line_instance, random_feasible, random_sized_grid
-from oracle import census, delta_cost, neighborhood, reference_island_table
+from oracle import census, delta_cost, neighborhood, reference_brute_force, reference_island_table
 from rbmedian.errors import CapExceeded
 from rbmedian.exact import _exact_sum, brute_force_opt, is_local_opt, lower_bound
 from rbmedian.gap_gen import GapParams, build
@@ -107,8 +108,8 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("batch", [1, 3, 7])
     def test_small_batches_agree_with_naive(self, batch, monkeypatch):
-        # chunks end inside and across subset lists, so ties span chunks
-        monkeypatch.setattr(exact, "_block_moves", lambda n_clients: batch)
+        # blocks end inside and across subset lists, so ties span blocks
+        monkeypatch.setattr(local_search, "_block_moves", lambda n_clients: batch)
         rng = random.Random(0xBA7C + batch)
         cases = [random_sized_grid(rng, max_clients=6, max_per_colour=5) for _ in range(40)]
         cases += [
@@ -127,6 +128,82 @@ class TestBruteForce:
             res = brute_force_opt(inst)
             assert res.cost == cost
             assert res.solution == Solution(R=set(R), B=set(B))
+
+
+class TestBruteForceIsTheScan:
+    """`brute_force_opt`, the swap scan from the empty solution, against
+    `reference_brute_force`, the chunk loop it replaced: the same document,
+    JSON text and all, at the shipped block size and at blocks of 1 and 6
+    pairs, where red states fold in runs against streamed open sets."""
+
+    @staticmethod
+    def same_as_reference(inst, blocks=(None, 1, 6)):
+        want = json.dumps(reference_brute_force(inst).to_doc())
+        for block in blocks:
+            with pytest.MonkeyPatch.context() as m:
+                if block:
+                    m.setattr(local_search, "_block_moves", lambda n_clients: block)
+                got = brute_force_opt(inst)
+                assert json.dumps(got.to_doc()) == want, block
+        return got
+
+    def test_two_distance_tables(self):
+        rng = random.Random(0x2D15)
+        for _ in range(40):
+            self.same_as_reference(two_distance_instance(rng, rng.randint(1, 3)))
+
+    def test_seeded_integer_grids(self):
+        rng = random.Random(0x6A1D)
+        for _ in range(30):
+            self.same_as_reference(random_sized_grid(rng, max_clients=8, max_per_colour=6))
+
+    def test_float_euclidean_tables(self):
+        rng = random.Random(0xE0C1)
+        for seed in range(30):
+            n_red, n_blue = rng.randint(1, 6), rng.randint(1, 6)
+            k_r = rng.randint(0, n_red)
+            inst = gen_euclidean(rng.randint(0, 12), n_red, n_blue, k_r, rng.randint(0 if k_r else 1, n_blue),
+                                 box_size=rng.choice([3.0, 100.0]), seed=seed)
+            self.same_as_reference(inst)
+
+    @pytest.mark.parametrize("inst", [
+        line_instance([0, 4, 9], [], [1, 7, 3, 5], k_r=0, k_b=2),
+        line_instance([0, 4, 9], [1, 7, 3, 5], [2], k_r=2, k_b=0),
+        line_instance([0, 4, 9], [1, 7, 3], [2, 6, 8], k_r=0, k_b=2),
+        line_instance([0, 4, 9], [1, 7, 3], [2, 6, 8], k_r=3, k_b=0),
+        line_instance([], [1, 2, 3], [4, 5, 6], k_r=0, k_b=1),
+        grid_instance(random.Random(8), 6, 5, 6, 0, 3),
+        gen_euclidean(7, 4, 5, 0, 2, seed=9),
+        gen_euclidean(0, 4, 5, 2, 0, seed=10),
+    ], ids=lambda inst: f"{len(inst.clients)}-{inst.k_r}-of-{len(inst.red)}-{inst.k_b}-of-{len(inst.blue)}")
+    def test_budget_zero_colours(self, inst):
+        self.same_as_reference(inst)
+
+    @pytest.mark.parametrize("p, ell", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4)])
+    def test_family_members(self, p, ell):
+        # (2,4)'s 3,695,120 pairs run at the shipped block size only
+        gap = build(GapParams(p=p, ell=ell))
+        assert self.same_as_reference(gap.instance, (None,) if p > 1 else (None, 1, 6)).solution == gap.global_solution
+
+    def test_ties_across_red_runs_go_to_the_lowest_index(self, monkeypatch):
+        # at blocks of 2 pairs, red 2 against blues 3 and 4 is priced before
+        # red 1 against blues 5 and 6; both runs reach the least total 1,
+        # which red 1 with blue 5 reaches first in canonical order
+        inst = line_instance([0], [5, 1], [9, 9, 1, 9], k_r=1, k_b=1)
+        monkeypatch.setattr(local_search, "_block_moves", lambda n_clients: 2)
+        res = brute_force_opt(inst)
+        assert (res.cost, res.solution) == (1, Solution(R={1}, B={5}))
+        assert res.to_doc() == reference_brute_force(inst).to_doc()
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_pick_is_the_census_least(self, ell):
+        # of every solution of least total, the lexicographically least (R, then B)
+        inst = build(GapParams(p=1, ell=ell)).instance
+        judged = census(inst, 1)
+        least = min(total for total, _ in judged.values())
+        want = min((sorted(sol.R), sorted(sol.B)) for sol, (total, _) in judged.items() if total == least)
+        res = brute_force_opt(inst)
+        assert (res.cost, sorted(res.solution.R), sorted(res.solution.B)) == (least, *want)
 
 
 def scalar_bound(inst):
@@ -605,3 +682,43 @@ def test_island_tables_hold_no_side_whole():
         tracemalloc.stop()
     assert verdict.method == "island tables"
     assert peak < 4 * 2**20
+
+
+def test_each_count_minima_built_once_per_pricing(monkeypatch):
+    # a p = 2 island of 2 open and 2 spare facilities of each colour, at a
+    # block of 5 state pairs: no whole tables, and each side's states fit a
+    # block, so each side's table is built from its counts' minima. Sides
+    # (1, 0), (1, 1) and (1, 2) share close count 1, yet each (count,
+    # closed) key is built once; a close count of 2 keeps nothing, whose
+    # minima are the fill, so of 12 keys 10 are built: each colour's open
+    # count 0, one empty set, and 8 keys of distinct positions
+    rows = np.random.default_rng(7).integers(0, 9, (8, 5))
+    kinds, p, real, built = [2, 2, 2, 2], 2, local_search._subset_minima, []
+    want = reference_island_table(rows, 9, kinds, p)
+
+    def spy(rows, combos, *args):
+        built.append(str(np.asarray(combos).tolist()))
+        return real(rows, combos, *args)
+
+    monkeypatch.setattr(exact, "_block_moves", lambda n_clients: 5)
+    monkeypatch.setattr(local_search, "_subset_minima", spy)
+    assert np.array_equal(exact._island_table(rows, 9, kinds, p), want)
+    assert len(built) == 10 and built.count("[[]]") == 2 and len(set(built)) == 9
+
+
+@pytest.mark.parametrize("p, ell, most", [(2, 40, 2.9), (2, 4, 2.15)])
+def test_cold_peaks_of_the_fold(p, ell, most):
+    # cold `tracemalloc` peaks in MiB of `is_local_opt` at (2,40) and of the
+    # brute force at (2,4): the island tables fold held close sets out of
+    # place, a red run at a time, and streamed ones in place; the brute
+    # force folds all its red states against each run of open sets
+    gap = build(GapParams(p=p, ell=ell))
+    local_search._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        got = brute_force_opt(gap.instance) if ell == 4 else is_local_opt(gap.instance, gap.local_solution, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert getattr(got, "method", "island tables") == "island tables"
+    assert peak <= most * 2**20, peak / 2**20

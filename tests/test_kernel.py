@@ -9,6 +9,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -239,6 +240,82 @@ def test_scan_from_a_first_move(batch):
                 assert best[0] == start + deltas[start:].index(low) and best[2] - total == low
             else:
                 assert best is None
+
+
+def empty_scan_totals(inst):
+    """Every feasible (R, B)'s total in the order of the scan from the empty
+    solution over the side pair ((0, k_r), (0, k_b)): red subset rank, then
+    blue subset rank, as the brute force scans them."""
+    return [evaluate(inst, Solution(R=set(R), B=set(B))).total
+            for R in combinations(inst.red, inst.k_r) for B in combinations(inst.blue, inst.k_b)]
+
+
+def scan_cases(rng, n, span=50):
+    """(scan arguments, every move's new total in canonical order): a
+    random solution's neighborhood, and the scan from the empty solution.
+    The first instance's 6 red subsets against 10 blue ones fold in red
+    runs against streamed open sets at blocks of 2 to 9 moves."""
+    empty = Solution(R=set(), B=set())
+    for case in range(n):
+        n_red, n_blue = (4, 5) if not case else (rng.randint(1, 5), rng.randint(1, 5))
+        k_r = 2 if not case else rng.randint(0, n_red)
+        k_b = 2 if not case else rng.randint(0 if k_r else 1, n_blue)
+        inst = grid_instance(rng, rng.randint(1, 7), n_red, n_blue, k_r, k_b, span)
+        sol, p = random_feasible(rng, inst), rng.randint(1, 2)
+        total, (_, moves) = evaluate(inst, sol).total, oracle_moves(inst, sol, p)
+        yield (inst, ls._client_rows(inst), sol, total, ls._swap_sizes(inst, p)), [total + d for _mv, d in moves]
+        sides = (((0, inst.k_r), (0, inst.k_b)),)
+        yield (inst, ls._client_rows(inst), empty, 0, sides), empty_scan_totals(inst)
+
+
+def test_blocks_sit_at_their_canonical_index(batch, monkeypatch):
+    # Each block `_price` yields holds the moves from its canonical index,
+    # its group's first move plus its offset, on; the blocks hold every move
+    # once. A scan with `accept` sees them in canonical order; the best rule
+    # takes red states in runs where a blue side is folded, out of order.
+    blocks, plans, plan, price = [], [], ls._plan, ls._price
+    monkeypatch.setattr(ls, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+
+    def recorded(*args):
+        for g, starts, totals, offset in price(*args):
+            blocks.append((plans[-1][3][g] + offset, totals.tolist()))
+            yield g, starts, totals, offset
+
+    monkeypatch.setattr(ls, "_price", recorded)
+    unordered = False
+    for args, want in scan_cases(random.Random(0xB10C5), 25):
+        for rule in ("best", "first"):
+            seen, blocks[:] = [], []
+            accept = None if rule == "best" else lambda d: seen.extend(d.tolist()) or np.zeros(len(d), dtype=bool)
+            ls._scan(*args, accept)
+            firsts = [index for index, _ in blocks]
+            assert sorted(i for index, totals in blocks for i in range(index, index + len(totals))) == list(
+                range(len(want)))
+            assert all(totals == want[index : index + len(totals)] for index, totals in blocks)
+            if rule == "first":
+                assert firsts == sorted(firsts) and seen == [new - args[3] for new in want]
+            unordered |= firsts != sorted(firsts)
+    assert unordered == (batch in (2, 3, 6))
+
+
+def test_red_runs_pick_as_runs_of_one(batch, monkeypatch):
+    # On tie-prone tables (3 x 3 grids), the best rule over red runs picks
+    # the (index, move, total) that runs of one red state pick, from any
+    # first move: the least total, ties to the lowest index. In the last
+    # case, at blocks of 2, red 1's least total 1 is priced before red 0's.
+    price, tie = ls._price, line_instance([0], [5, 1], [9, 9, 1, 9], k_r=1, k_b=1)
+    tie_args = (tie, ls._client_rows(tie), Solution(R=set(), B=set()), 0, (((0, 1), (0, 1)),))
+    cases = [*scan_cases(random.Random(0x71E5), 30, span=3), (tie_args, [5, 5, 1, 5, 1, 1, 1, 1])]
+    for args, want in cases:
+        for start in sorted({0, 1, len(want) // 2}):
+            picks = [ls._scan(*args, start=start)]
+            with monkeypatch.context() as m:
+                m.setattr(ls, "_price", lambda red, blue, steps, per, ordered: price(red, blue, steps, per, True))
+                picks.append(ls._scan(*args, start=start))
+            assert picks[0] == picks[1]
+            if start < len(want):
+                low = min(want[start:])
+                assert picks[0][::2] == (start + want[start:].index(low), low)
 
 
 def test_epsilon_test_is_exact_for_large_integers():
